@@ -3,7 +3,7 @@ and run the validation battery, emitting CSV or JSON.
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 capacity exceeded.  Output files are deterministic for a fixed
-command line and seed in sequential mode.
+command line and seed.
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ def _cmd_evolve(args) -> int:
         raise ModelError("evolve takes a single expansion order")
     rows = []
     for t in args.t:
-        state = evolve(model, args.z0, t, args.Q[0],
-                       parallel=args.parallel)
+        state = evolve(model, args.z0, t, args.Q[0])
         oracle = ode_evolve(model, args.z0, t) if args.oracle else None
         probs = state.probabilities()
         for z in range(model.dimension):
@@ -172,8 +171,7 @@ def _cmd_infidelity_sweep(args) -> int:
     rows = []
     for t in args.t:
         reference = ode_evolve(model, args.z0, t)
-        orders = evolve_by_order(model, args.z0, t, q_top,
-                                 parallel=args.parallel)
+        orders = evolve_by_order(model, args.z0, t, q_top)
         for q in q_list:
             truncated = StateVector(amplitudes=orders[: q + 1].sum(axis=0),
                                     time=float(t))
@@ -268,9 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--parallel", action="store_true",
-                       help="evaluate disjoint path subtrees in threads "
-                            "(DYSON_DD_THREADS caps the pool)")
 
     p = sub.add_parser("evolve", help="per-state amplitudes and populations")
     add_common(p)

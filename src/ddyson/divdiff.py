@@ -26,6 +26,10 @@ from .errors import DegenerateNodesError
 # a shifted, sliced argument with |tau * (x_j - mu)| <= _SLICE_CAP.
 _EXTRA_TAYLOR_TERMS = 48
 _SLICE_CAP = 1.0
+# Work budget of one kernel call: at most this many B * n^2 elements in its
+# (B, n, n) Taylor stack.  ``exp_dd_batch`` splits larger batches into row
+# chunks under it (one row per chunk once n^2 alone exceeds it).
+_CHUNK_ELEMENTS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:
 
 
 def exp_dd_batch(t, node_rows) -> np.ndarray:
-    """``exp_dd`` applied to each row of a 2-D node array."""
+    """``exp_dd`` applied to each row of a 2-D node array, in budgeted chunks."""
     t = _check_time(t)
     x = np.asarray(node_rows, dtype=complex)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -171,8 +175,9 @@ def exp_dd_batch(t, node_rows) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise ValueError("divided-difference inputs must be finite")
-    rows, _ = _exp_dd_core(t, x)
-    return rows[:, -1]
+    step = max(1, _CHUNK_ELEMENTS // x.shape[1] ** 2)
+    return np.concatenate([_exp_dd_core(t, x[s:s + step])[0][:, -1]
+                           for s in range(0, x.shape[0], step)])
 
 
 def exp_dd_table(t, inputs) -> DdTable:

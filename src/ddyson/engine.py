@@ -13,20 +13,23 @@ the Schrodinger-picture list is the same shifted by the final free energy:
 with y_j = E_j - sum_{l>j} lam_l (energies and diagonals read along the
 trajectory) and x_j = y_j - E_final.
 
-Enumeration is depth-first with early pruning: a step whose permutation
+``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
+time, as a readable oracle.  ``evolve_by_order`` evaluates it order by
+order on a frontier of rows.  In prefix form, with Lam_j = lam_1 + ... +
+lam_j, the nodes w_j = E_j + Lam_j = y_j + Lam_q satisfy
+e^{-it[y]} = e^{it Lam_q} e^{-it[w]} (the shift identity), so a child row
+is its parent plus one node.  Divided differences are symmetric in their
+nodes, so rows whose (endpoint, Lam_q, sorted w) are bit-identical merge by
+summing their weights, which changes no value.  A step whose permutation
 image leaves the basis, or whose d diagonal vanishes at the landing state,
-kills the whole subtree.  Everything here is a pure function of
-(model, arguments); the optional parallel mode splits disjoint first-step
-subtrees across threads and reduces by addition, so parallel results may
-differ from sequential ones at rounding level only.
+is pruned.  Children are visited depth-first in blocks of ``_BLOCK_ROWS``
+rows, so the working set stays bounded at every order.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,8 @@ from .errors import CapacityError, ModelError
 from .hamiltonian import HamiltonianModel, is_time_independent, path_energies
 
 _CAPACITY_LIMIT = 2 ** 63
+# Frontier rows expanded and merged together before the next order.
+_BLOCK_ROWS = 4096
 PICTURES = ("schrodinger", "interaction")
 
 
@@ -152,137 +157,86 @@ def _check_capacity(model: HamiltonianModel, max_order: int) -> None:
             "reduce the expansion order")
 
 
-def _iter_term_walks(model: HamiltonianModel, z: int, max_order: int,
-                     first_term=None):
-    """Depth-first (i_1..i_q) walks with defined trajectory.
-
-    Yields (terms, trajectory, d_options) where d_options[j] is the K-vector
-    of d diagonals at step j's landing state.  Subtrees are pruned when the
-    permutation image leaves the basis or every factor's d vanishes there.
-    With ``first_term`` set, only walks starting with that step are yielded
-    (and the empty walk is not), which partitions the tree for parallel runs.
-    """
-    stack_terms: list[int] = []
-    stack_states: list[int] = [z]
-    stack_dopts: list[np.ndarray] = []
-
-    def _extend(i: int) -> bool:
-        term = model.terms[i - 1]
-        nxt = term.perm.apply(stack_states[-1])
-        if nxt is None:
-            return False
-        dopt = np.array([f.d[nxt] for f in term.factors], dtype=complex)
-        if not np.any(dopt):
-            return False
-        stack_terms.append(i)
-        stack_states.append(nxt)
-        stack_dopts.append(dopt)
-        return True
-
-    def _walk():
-        yield tuple(stack_terms), tuple(stack_states), list(stack_dopts)
-        if len(stack_terms) == max_order:
-            return
-        for i in range(1, model.n_terms + 1):
-            if _extend(i):
-                yield from _walk()
-                stack_terms.pop()
-                stack_states.pop()
-                stack_dopts.pop()
-
-    if first_term is None:
-        yield from _walk()
-    elif max_order >= 1 and _extend(first_term):
-        yield from _walk()
-
-
 def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     """All defined, non-vanishing paths of order <= max_order from |z>.
 
-    Depth-first: each (i_1..i_q) walk is expanded over every factor
-    assignment whose d product is nonzero.  Raises CapacityError when the
-    bound sum_q (MK)^q does not fit a 64-bit counter.
+    Depth-first over (term, factor) steps: a step whose permutation image
+    leaves the basis, or whose d diagonal vanishes at the landing state, is
+    pruned with its subtree.  Raises CapacityError when the bound
+    sum_q (MK)^q does not fit a 64-bit counter.
     """
     if not 0 <= z < model.dimension:
         raise ValueError(f"basis index {z} outside [0, {model.dimension})")
     _check_capacity(model, max_order)
-    K = model.n_factors
-    for terms, traj, dopts in _iter_term_walks(model, z, max_order):
-        if not terms:
-            yield Path(origin=z, terms=(), factors=(), trajectory=traj)
-            continue
-        for ks in itertools.product(range(1, K + 1), repeat=len(terms)):
-            if any(dopts[j][k - 1] == 0 for j, k in enumerate(ks)):
+
+    def walk(terms, factors, trajectory):
+        yield Path(origin=z, terms=terms, factors=factors, trajectory=trajectory)
+        if len(terms) == max_order:
+            return
+        for i, term in enumerate(model.terms, start=1):
+            nxt = term.perm.apply(trajectory[-1])
+            if nxt is None:
                 continue
-            yield Path(origin=z, terms=terms, factors=ks, trajectory=traj)
+            for k, factor in enumerate(term.factors, start=1):
+                if factor.d[nxt] != 0:
+                    yield from walk(terms + (i,), factors + (k,),
+                                    trajectory + (nxt,))
+
+    yield from walk((), (), (z,))
 
 
-def _walk_coefficient(model: HamiltonianModel, terms, traj, dopts,
-                      t: float, picture: str) -> complex:
-    """Factor-aggregated coefficient of one (i_1..i_q) walk.
+class _Rows(NamedTuple):
+    """Frontier rows: endpoint z, prefix rate sum Lam, sorted nodes w, weight."""
 
-    Sums d-product times the divided-difference exponential over all K^q
-    factor assignments, batching the node rows into one kernel call.
-    """
-    q = len(terms)
-    energies = model.energies[np.asarray(traj, dtype=np.int64)].astype(complex)
-    if q == 0:
-        if picture == "interaction":
-            return 1.0 + 0j
-        return complex(np.exp(-1j * t * energies[0]))
+    z: np.ndarray
+    lam: np.ndarray
+    w: np.ndarray
+    weight: np.ndarray
 
-    K = model.n_factors
-    lam_step = np.array(
-        [[model.terms[i - 1].factors[k].lam[zl] for k in range(K)]
-         for i, zl in zip(terms, traj[1:])],
-        dtype=complex,
-    )
-    d_step = np.asarray(dopts, dtype=complex)
-
-    combos = np.array(list(itertools.product(range(K), repeat=q)), dtype=np.intp)
-    d_rows = np.prod(d_step[np.arange(q), combos], axis=1)
-    keep = d_rows != 0
-    if not np.any(keep):
-        return 0j
-    combos = combos[keep]
-    d_rows = d_rows[keep]
-
-    lam_rows = lam_step[np.arange(q), combos]
-    suffix = np.zeros((combos.shape[0], q + 1), dtype=complex)
-    suffix[:, :q] = np.cumsum(lam_rows[:, ::-1], axis=1)[:, ::-1]
-    nodes = energies[None, :] - suffix
-    if picture == "interaction":
-        nodes = nodes - energies[-1]
-        nodes[:, -1] = 0.0
-    values = exp_dd_batch(t, nodes)
-    return complex(np.sum(d_rows * values))
+    def take(self, index) -> "_Rows":
+        return _Rows(*(a[index] for a in self))
 
 
-def _orders_for_walks(model, z0, t, max_order, picture, walks) -> np.ndarray:
-    out = np.zeros((max_order + 1, model.dimension), dtype=complex)
-    for terms, traj, dopts in walks:
-        out[len(terms), traj[-1]] += _walk_coefficient(
-            model, terms, traj, dopts, t, picture)
-    return out
+def _step_tables(model: HamiltonianModel):
+    """Permutation targets (M, D) and factor diagonals lam, d (M, K, D)."""
+    targets = np.stack([tm.perm.targets for tm in model.terms])
+    lam = np.array([[f.lam for f in tm.factors] for tm in model.terms])
+    d = np.array([[f.d for f in tm.factors] for tm in model.terms])
+    return targets, lam, d
 
 
-def _resolve_workers(max_workers) -> int:
-    workers = max_workers or os.cpu_count() or 1
-    cap = os.environ.get("DYSON_DD_THREADS")
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
+def _merged(rows: _Rows) -> _Rows:
+    """One row per bit-identical (z, Lam, w) key, with the weights summed."""
+    key = np.column_stack([rows.z.astype(complex), rows.lam, rows.w])
+    key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    weight = (np.bincount(inverse, rows.weight.real)
+              + 1j * np.bincount(inverse, rows.weight.imag))
+    return rows.take(first)._replace(weight=weight)
+
+
+def _children(rows: _Rows, energies: np.ndarray, targets, lam, d) -> _Rows:
+    """Every defined, non-vanishing (term, factor) step from every row."""
+    M, K, _ = d.shape
+    zc = targets[:, rows.z]                                    # (M, R)
+    dc = d[np.arange(M)[:, None, None], np.arange(K)[:, None], zc[:, None, :]]
+    m, k, r = np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
+    z = zc[m, r]
+    lam_q = rows.lam[r] + lam[m, k, z]
+    w = np.sort(np.column_stack([rows.w[r], energies[z] + lam_q]), axis=1)
+    return _merged(_Rows(z, lam_q, w, rows.weight[r] * dc[m, k, r]))
 
 
 def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
-                    picture: str = "schrodinger", parallel: bool = False,
-                    max_workers=None) -> np.ndarray:
+                    picture: str = "schrodinger") -> np.ndarray:
     """Per-order state contributions, shape (max_order + 1, dimension).
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
-    partial sums over rows give every truncation at once.  Sequential mode
-    is deterministic; parallel mode splits first-step subtrees across
-    threads and may differ at rounding level.
+    partial sums over rows give every truncation at once.  Each frontier
+    block is one ``exp_dd_batch`` call: row (z, Lam, w, weight) adds
+    weight * e^{it Lam} * e^{-it[w]} at z, with the nodes shifted by -E_z
+    in the interaction picture.  Deterministic for fixed arguments.
     """
     if not 0 <= z0 < model.dimension:
         raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
@@ -293,31 +247,33 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
         raise ValueError(f"picture must be one of {PICTURES}")
     _check_capacity(model, max_order)
 
-    if not parallel or max_order == 0 or model.n_terms == 1:
-        return _orders_for_walks(
-            model, z0, t, max_order, picture,
-            _iter_term_walks(model, z0, max_order))
-
-    def _subtree(first_term: int) -> np.ndarray:
-        return _orders_for_walks(
-            model, z0, t, max_order, picture,
-            _iter_term_walks(model, z0, max_order, first_term=first_term))
-
-    out = _orders_for_walks(model, z0, t, 0, picture, _iter_term_walks(model, z0, 0))
-    padded = np.zeros((max_order + 1, model.dimension), dtype=complex)
-    padded[0] = out[0]
-    with ThreadPoolExecutor(max_workers=_resolve_workers(max_workers)) as ex:
-        for part in ex.map(_subtree, range(1, model.n_terms + 1)):
-            padded += part
-    return padded
+    energies = model.energies
+    tables = _step_tables(model)
+    D = model.dimension
+    out = np.zeros((max_order + 1, D), dtype=complex)
+    root = _Rows(np.array([z0]), np.zeros(1, complex),
+                 np.full((1, 1), energies[z0], complex), np.ones(1, complex))
+    stack = [(0, root)]
+    while stack:
+        q, rows = stack.pop()
+        nodes = rows.w
+        if picture == "interaction":
+            nodes = nodes - energies[rows.z][:, None]
+        values = rows.weight * np.exp(1j * t * rows.lam) * exp_dd_batch(t, nodes)
+        out[q] += (np.bincount(rows.z, values.real, D)
+                   + 1j * np.bincount(rows.z, values.imag, D))
+        if q < max_order:
+            kids = _children(rows, energies, *tables)
+            starts = range(0, kids.z.size, _BLOCK_ROWS)
+            stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)))
+                         for s in reversed(starts))
+    return out
 
 
 def evolve(model: HamiltonianModel, z0: int, t, max_order: int,
-           picture: str = "schrodinger", parallel: bool = False,
-           max_workers=None) -> StateVector:
+           picture: str = "schrodinger") -> StateVector:
     """State from |z0> summed over all paths of order <= max_order."""
-    orders = evolve_by_order(model, z0, t, max_order, picture,
-                             parallel=parallel, max_workers=max_workers)
+    orders = evolve_by_order(model, z0, t, max_order, picture)
     return StateVector(amplitudes=orders.sum(axis=0), time=float(t))
 
 
@@ -339,57 +295,13 @@ def amplitude_by_order(model: HamiltonianModel, z_in: int, z_fin: int,
 
 
 def evolve_ti(model: HamiltonianModel, z0: int, t, max_order: int) -> StateVector:
-    """Time-independent specialization: nodes are the trajectory energies.
+    """``evolve`` restricted to time-independent models (K = 1, all lam = 0).
 
-    Requires K = 1 and all lam = 0.  Because divided differences are
-    invariant under input permutation, walks are grouped by (endpoint,
-    energy-visit counts): one kernel evaluation per distinct energy
+    There Lam = 0 and the nodes are the trajectory energies, so frontier
+    rows merge on (endpoint, energy multiset): one kernel row per distinct
     multiset instead of one per path, which keeps high orders tractable.
-    Agrees with the general engine to rounding.
     """
     if not is_time_independent(model):
         raise ModelError(
             "evolve_ti requires a time-independent model (K = 1, all lam = 0)")
-    if not 0 <= z0 < model.dimension:
-        raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
-    _check_capacity(model, max_order)
-
-    D = model.dimension
-    amps = np.zeros(D, dtype=complex)
-
-    # weights[(z, counts)] = summed d products over walks ending at z whose
-    # trajectory visits basis state s counts[s] times (origin included).
-    start = tuple(1 if s == z0 else 0 for s in range(D))
-    weights: dict = {(z0, start): 1.0 + 0j}
-
-    for q in range(max_order + 1):
-        if weights:
-            keys = sorted(weights)
-            rows = np.array(
-                [np.repeat(np.arange(D), counts) for _, counts in keys],
-                dtype=np.int64,
-            )
-            values = exp_dd_batch(t, model.energies[rows].astype(complex))
-            for key, val in zip(keys, values):
-                amps[key[0]] += weights[key] * val
-        if q == max_order:
-            break
-        nxt: dict = {}
-        for (z, counts), w in weights.items():
-            for tm in model.terms:
-                z2 = tm.perm.apply(z)
-                if z2 is None:
-                    continue
-                d = tm.factors[0].d[z2]
-                if d == 0:
-                    continue
-                c2 = list(counts)
-                c2[z2] += 1
-                key = (z2, tuple(c2))
-                nxt[key] = nxt.get(key, 0j) + w * d
-        weights = nxt
-
-    return StateVector(amplitudes=amps, time=t)
+    return evolve(model, z0, t, max_order)

@@ -17,18 +17,16 @@ produces, by entirely different numerical routes:
   arithmetic (distinct nodes only).
 
 Dense oracles are capped at dimension 512: they exist for verification,
-not production scale.
+not production scale.  scipy and mpmath are imported inside the oracles
+that use them, so ``import ddyson`` does not load them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .divdiff import as_nodes
 from .engine import StateVector
@@ -124,6 +122,8 @@ def ode_evolve(model: HamiltonianModel, z0: int, t, tol: float = 1e-10,
 
     Returns the state at time t (optionally with the accepted step count).
     """
+    from scipy.integrate import solve_ivp
+
     _check_dense(model)
     if not 0 <= z0 < model.dimension:
         raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
@@ -165,6 +165,8 @@ def ode_evolve(model: HamiltonianModel, z0: int, t, tol: float = 1e-10,
 
 def mat_exp_evolve(model: HamiltonianModel, z0: int, t) -> StateVector:
     """e^{-i H t} |z0> by dense scaling-and-squaring (time-independent only)."""
+    from scipy.linalg import expm
+
     _check_dense(model)
     if not is_time_independent(model):
         raise ValueError("mat_exp_evolve requires a time-independent model")
@@ -198,6 +200,8 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
     Extended-precision oracle for the production kernel; nodes must be
     pairwise distinct (the recursion divides by gaps).
     """
+    import mpmath as mp
+
     x = as_nodes(inputs)
     if np.unique(x).size != x.size:
         raise DegenerateNodesError(

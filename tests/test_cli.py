@@ -88,19 +88,6 @@ def test_evolve_json_format(tmp_path):
     assert isinstance(rows, list) and set(rows[0]) == {"t", "z", "re", "im", "prob"}
 
 
-def test_evolve_parallel_flag(tmp_path):
-    out_seq = tmp_path / "seq.csv"
-    out_par = tmp_path / "par.csv"
-    base = ["evolve", "--model", "anharmonic", "--param", "n_max=12",
-            "--z0", "4", "--t", "0.03", "--Q", "2"]
-    assert run([*base, "--out", str(out_seq)]) == 0
-    assert run([*base, "--parallel", "--out", str(out_par)]) == 0
-    seq = {r["z"]: float(r["prob"]) for r in read_csv(out_seq)}
-    par = {r["z"]: float(r["prob"]) for r in read_csv(out_par)}
-    for z in seq:
-        assert par[z] == pytest.approx(seq[z], abs=1e-12)
-
-
 def test_evolve_flags_probabilities_above_one(tmp_path, capsys):
     # strong coupling at long time blows the truncated series past unit norm;
     # values are emitted raw and flagged on stderr

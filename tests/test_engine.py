@@ -1,7 +1,9 @@
 """Expansion engine: node construction, coefficients, enumeration,
-evolution, and the time-independent specialization."""
+evolution, the frontier's merging and work budget, and the
+time-independent specialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,11 @@ import pytest
 from ddyson import (
     AnharmonicParams,
     CapacityError,
+    ExpSumFactor,
     HamiltonianModel,
     ModelError,
+    PermutationMap,
+    PermutationTerm,
     SingleSpinParams,
     StateVector,
     alpha,
@@ -32,6 +37,7 @@ from ddyson import (
     x_inputs,
     y_inputs,
 )
+from ddyson import divdiff, engine
 from ddyson.models import FermiParams
 from ddyson.validate import random_model, random_ti_model
 
@@ -269,22 +275,77 @@ def test_evolution_error_decreases_with_order():
     assert errors[6] <= 1e-8
 
 
-def test_parallel_matches_sequential():
-    rng = np.random.default_rng(36)
-    m = random_model(rng, dim=5, n_terms=3)
+# -- frontier engine ---------------------------------------------------------
+
+def per_path_orders(model, z0, t, max_order, picture):
+    """Order-resolved state from the per-path oracle (alpha or beta per path)."""
+    coefficient = alpha if picture == "interaction" else beta
+    out = np.zeros((max_order + 1, model.dimension), complex)
+    for p in enumerate_paths(model, z0, max_order):
+        out[p.order, p.trajectory[-1]] += coefficient(model, p, t)
+    return out
+
+
+def test_merged_rows_match_per_path_oracle(monkeypatch):
+    # degenerate energies, integer rates and two commuting ring shifts make
+    # many paths share (endpoint, Lam, node multiset), so rows merge
+    dim = 4
+    factors = (ExpSumFactor(lam=np.full(dim, 1.0), d=np.full(dim, 0.3)),
+               ExpSumFactor(lam=np.full(dim, -1.0), d=np.full(dim, 0.2j)))
+    terms = tuple(PermutationTerm(perm=PermutationMap(np.roll(np.arange(dim), s)),
+                                  factors=factors) for s in (1, -1))
+    m = HamiltonianModel(energies=np.array([0.0, 1.0, 0.0, 1.0]), terms=terms)
+    t, Q = 0.7, 5
+    rows = []
+    batch = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: rows.append(len(nodes)) or batch(t, nodes))
+    for picture in ("schrodinger", "interaction"):
+        rows.clear()
+        got = evolve_by_order(m, 0, t, Q, picture)
+        want = per_path_orders(m, 0, t, Q, picture)
+        assert np.abs(got - want).max() <= 1e-12
+        assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
+
+
+def test_kernel_calls_stay_within_work_budget(monkeypatch):
+    seen = []
+    core = divdiff._exp_dd_core
+
+    def recorded(t, x):
+        seen.append(x.shape[0] * x.shape[1] ** 2)
+        return core(t, x)
+
+    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    nodes = np.random.default_rng(40).uniform(-1.0, 1.0, (3000, 12))
+    values = divdiff.exp_dd_batch(0.5, nodes)
+    assert len(seen) > 1
+    for i in (0, 1234, 2999):
+        assert values[i] == pytest.approx(exp_dd(0.5, nodes[i]), rel=1e-12)
     t = 0.4
-    seq = evolve(m, 0, t, 3)
-    par = evolve(m, 0, t, 3, parallel=True, max_workers=3)
-    assert np.abs(seq.amplitudes - par.amplitudes).max() <= 1e-12
+    evolve_ti(random_ti_model(np.random.default_rng(41), t), 0, t, 20)
+    assert max(seen) <= divdiff._CHUNK_ELEMENTS
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("DYSON_DD_THREADS", "1")
-    rng = np.random.default_rng(37)
-    m = random_model(rng)
-    seq = evolve(m, 0, 0.3, 2)
-    par = evolve(m, 0, 0.3, 2, parallel=True)
-    assert np.abs(seq.amplitudes - par.amplitudes).max() <= 1e-12
+def test_cosine_drive_high_order_stays_small():
+    # two levels flipped by d cos(2t) at every step: K^q factor rows per walk
+    # if expanded whole, ~300 MB of kernel temporaries at Q = 14
+    dim = 2
+    factors = tuple(ExpSumFactor(lam=np.full(dim, s), d=np.full(dim, 0.1))
+                    for s in (2.0, -2.0))
+    term = PermutationTerm(perm=PermutationMap(np.array([1, 0])), factors=factors)
+    m = HamiltonianModel(energies=np.array([-0.5, 0.5]), terms=(term,))
+    t = 0.5
+    tracemalloc.start()
+    try:
+        st = evolve(m, 0, t, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+    # the order-15 tail is below (0.2 t)^15 / 15!, far under the tolerance
+    reference = ode_evolve(m, 0, t, tol=1e-12)
+    assert np.abs(st.amplitudes - reference.amplitudes).max() <= 1e-9
 
 
 def test_invalid_arguments():
@@ -346,14 +407,16 @@ def test_ti_two_level_matches_matrix_exponential():
 
 
 def test_ti_agrees_with_general_engine():
+    # evolve_ti runs the frontier engine, so the independent reference is
+    # the per-path oracle: beta summed over every enumerated path
     rng = np.random.default_rng(39)
     for _ in range(3):
         t = float(rng.uniform(0.1, 0.5))
         m = random_ti_model(rng, t)
         z0 = int(rng.integers(0, m.dimension))
         a = evolve_ti(m, z0, t, 8)
-        b = evolve(m, z0, t, 8)
-        assert np.abs(a.amplitudes - b.amplitudes).max() <= 1e-12
+        b = per_path_orders(m, z0, t, 8, "schrodinger").sum(axis=0)
+        assert np.abs(a.amplitudes - b).max() <= 1e-12
 
 
 # -- state vector ------------------------------------------------------------

@@ -2,6 +2,10 @@
 closed forms, matrix exponentials, and the infidelity figure of merit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from ddyson import (
     ode_evolve,
     simplex_integral,
 )
+import ddyson
 from ddyson.validate import random_ti_model
 
 
@@ -180,3 +185,18 @@ def test_zero_reference_rejected():
         infidelity(z, ok)
     with pytest.raises(ValueError):
         infidelity(ok, StateVector(np.zeros(3, complex), 0.0))
+
+
+# -- imports -------------------------------------------------------------------
+
+def test_import_does_not_load_scipy_or_mpmath():
+    # the oracles import scipy and mpmath when called, not at package import
+    src = str(Path(ddyson.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, ddyson, ddyson.cli, ddyson.validate; "
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
