@@ -15,15 +15,16 @@ trajectory) and x_j = y_j - E_final.
 
 ``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
 time, as a readable oracle.  ``evolve_by_order`` evaluates it order by
-order on a frontier of rows.  In prefix form, with Lam_j = lam_1 + ... +
-lam_j, the nodes w_j = E_j + Lam_j = y_j + Lam_q satisfy
-e^{-it[y]} = e^{it Lam_q} e^{-it[w]} (the shift identity), so a child row
-is its parent plus one node.  Divided differences are symmetric in their
-nodes, so rows whose (endpoint, Lam_q, sorted w) are bit-identical merge by
-summing their weights, which changes no value.  A step whose permutation
-image leaves the basis, or whose d diagonal vanishes at the landing state,
-is pruned.  Children are visited depth-first in blocks of ``_BLOCK_ROWS``
-rows, so the working set stays bounded at every order.
+order on a frontier of rows.  A row stores the prefix-form nodes
+w_j = E_j + Lam_j, with Lam_j = lam_1 + ... + lam_j, so a child row is its
+parent plus one node.  It is evaluated on y_j = w_j - Lam_q, the suffix
+form above, so a decaying rate (Im lam > 0) keeps every value bounded at
+any t, as it does for ``beta``.  Divided differences are symmetric in
+their nodes, so rows whose (endpoint, Lam_q, sorted w) are bit-identical
+merge by summing their weights, which changes no value.  A step whose
+permutation image leaves the basis, or whose d diagonal vanishes at the
+landing state, is pruned.  Children are visited depth-first in blocks of
+``_BLOCK_ROWS`` rows, so the working set stays bounded at every order.
 """
 
 from __future__ import annotations
@@ -235,7 +236,7 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     Row q holds the endpoint-summed coefficients of all order-q paths, so
     partial sums over rows give every truncation at once.  Each frontier
     block is one ``exp_dd_batch`` call: row (z, Lam, w, weight) adds
-    weight * e^{it Lam} * e^{-it[w]} at z, with the nodes shifted by -E_z
+    weight * e^{-it[w - Lam]} at z, with the nodes shifted by a further -E_z
     in the interaction picture.  Deterministic for fixed arguments.
     """
     if not 0 <= z0 < model.dimension:
@@ -256,10 +257,10 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     stack = [(0, root)]
     while stack:
         q, rows = stack.pop()
-        nodes = rows.w
+        nodes = rows.w - rows.lam[:, None]
         if picture == "interaction":
-            nodes = nodes - energies[rows.z][:, None]
-        values = rows.weight * np.exp(1j * t * rows.lam) * exp_dd_batch(t, nodes)
+            nodes -= energies[rows.z][:, None]
+        values = rows.weight * exp_dd_batch(t, nodes)
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
         if q < max_order:

@@ -38,6 +38,7 @@ from ddyson import (
     y_inputs,
 )
 from ddyson import divdiff, engine
+from ddyson.engine import PICTURES
 from ddyson.models import FermiParams
 from ddyson.validate import random_model, random_ti_model
 
@@ -320,11 +321,36 @@ def test_kernel_calls_stay_within_work_budget(monkeypatch):
     nodes = np.random.default_rng(40).uniform(-1.0, 1.0, (3000, 12))
     values = divdiff.exp_dd_batch(0.5, nodes)
     assert len(seen) > 1
+    assert max(seen) <= divdiff._CHUNK_ELEMENTS
     for i in (0, 1234, 2999):
         assert values[i] == pytest.approx(exp_dd(0.5, nodes[i]), rel=1e-12)
-    t = 0.4
-    evolve_ti(random_ti_model(np.random.default_rng(41), t), 0, t, 20)
+
+
+def test_engine_kernel_calls_stay_within_work_budget(monkeypatch):
+    seen = []
+    core = divdiff._exp_dd_core
+
+    def recorded(t, x):
+        seen.append(x.shape[0] * x.shape[1] ** 2)
+        return core(t, x)
+
+    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    model = random_ti_model(np.random.default_rng(41), 0.4)
+    evolve_ti(model, 0, 0.4, 20)
     assert max(seen) <= divdiff._CHUNK_ELEMENTS
+
+
+def test_decaying_drive_stays_bounded_at_long_times():
+    # lam = i*gamma: the prefix sums Lam reach i*q*gamma, so e^{it Lam} and
+    # e^{-it[w]} alone over- and underflow once t*q*gamma passes ~709; the
+    # coefficients themselves are O(1)
+    m = build_single_spin(SPIN)
+    t, Q = 1000.0, 5
+    for picture in PICTURES:
+        got = evolve_by_order(m, 0, t, Q, picture)
+        want = per_path_orders(m, 0, t, Q, picture)
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def test_cosine_drive_high_order_stays_small():
