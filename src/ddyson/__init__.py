@@ -8,14 +8,11 @@ dense matrix exponentials) that cross-check the machinery at desk scale.
 
 from .divdiff import (
     DdEvalStats,
-    DdTable,
     as_nodes,
     dd_recursive,
-    dd_recursive_table,
     exp_dd,
     exp_dd_batch,
     exp_dd_stats,
-    exp_dd_table,
     shift_inputs,
 )
 from .engine import (

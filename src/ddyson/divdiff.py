@@ -3,12 +3,22 @@
 The central primitive is ``exp_dd(t, nodes)``, the divided difference
 e^{-i t [x_0, ..., x_q]} of f(x) = exp(-i t x) over a multiset of complex
 nodes.  The textbook recursion divides by node gaps and cancels
-catastrophically for clustered inputs, so ``exp_dd`` instead accumulates
-the triangular table of the exponential by a Taylor series of the
-centroid-shifted argument, with the time interval split into 2^s slices
-whose tables are chained by the table product rule.  Repeated nodes are
-handled implicitly (no gap is ever divided by), and the cost is O(q^2)
-table operations per time slice.
+catastrophically for clustered inputs.  ``exp_dd`` instead reads the value
+off the top row of exp(-i t (diag(x) + S)), with S the superdiagonal of
+ones (the Opitz form of the divided-difference table), so no gap is ever
+divided by and repeated nodes need no special case.
+
+Each row is shifted to its centroid mu and the time is split into s = 2^m
+slices with |tau (x_j - mu)| <= 1.  One slice is the Taylor polynomial of
+degree n + 17 (n = q + 1 nodes), fixed in advance: its tail is below 1e-16
+relative to every entry.  Only the top row is carried, so a Taylor term is
+an O(n) vector update of a (B, n) batch.  Up to s = n slices the row is
+pushed through the same update once per slice; past that the full slice
+table (O(n^2) per term) is built once and squared m times, so long times
+cost O(log s) table products instead of s slices.  Chained tables hold
+divided differences over runs of consecutive nodes, so before chaining
+the nodes are reordered to keep every run spread out, and the squaring
+runs in extended precision.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -16,19 +26,20 @@ restricted to well-separated nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateNodesError
 
-# Taylor terms past the table order needed to exhaust double precision for
-# a shifted, sliced argument with |tau * (x_j - mu)| <= _SLICE_CAP.
-_EXTRA_TAYLOR_TERMS = 48
+# Largest |tau * (x_j - mu)| one slice may cover.
 _SLICE_CAP = 1.0
-# Work budget of one kernel call: at most this many B * n^2 elements in its
-# (B, n, n) Taylor stack.  ``exp_dd_batch`` splits larger batches into row
-# chunks under it (one row per chunk once n^2 alone exceeds it).
+# Work budget of one kernel call: its largest array holds at most this many
+# complex elements, B * n on the vector route and B * n^2 on the squaring
+# route.  ``exp_dd_batch`` splits larger batches into row chunks under it
+# (one row per chunk once n, or n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -43,30 +54,6 @@ class DdEvalStats:
     @property
     def ops_per_slice(self) -> float:
         return self.table_ops / self.n_slices
-
-
-@dataclass(frozen=True)
-class DdTable:
-    """Triangular divided-difference table: entry (i, j) = f[x_i, ..., x_j].
-
-    Only the upper triangle i <= j is meaningful; the diagonal holds the
-    plain function values f(x_i).
-    """
-
-    entries: np.ndarray
-    f_label: str
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0] - 1
-
-    def entry(self, i: int, j: int) -> complex:
-        if not 0 <= i <= j <= self.order:
-            raise IndexError(f"table entry ({i}, {j}) outside upper triangle")
-        return complex(self.entries[i, j])
-
-    def top_row(self) -> np.ndarray:
-        return self.entries[0].copy()
 
 
 def as_nodes(inputs) -> np.ndarray:
@@ -88,60 +75,124 @@ def _check_time(t) -> float:
     return t
 
 
-def _exp_dd_core(t: float, x: np.ndarray) -> tuple[np.ndarray, DdEvalStats]:
-    """Top rows of exp(-i t [.]) tables for each row of a node batch.
+def _slice_count(t: float, delta: np.ndarray) -> int:
+    """Smallest power of two s with |t * delta| / s <= _SLICE_CAP."""
+    amax = float(np.abs(t * delta).max())
+    if not np.isfinite(amax):
+        raise ValueError("time times node spread overflows")
+    mant, exp = math.frexp(amax / _SLICE_CAP)
+    return 1 << max(0, exp - (mant == 0.5))
 
-    ``x`` has shape (B, n); returns (rows, stats) where rows[b, j] is
-    e^{-i t [x_b0, ..., x_bj]}.  All rows share one slicing (chosen from
-    the worst row), which only ever over-resolves.
+
+def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    mu = x.mean(axis=1)
+    return mu, x - mu[:, None]
+
+
+def _squares(n_slices: int, n: int) -> bool:
+    """Route choice: square a slice table instead of chaining row updates.
+
+    Chaining costs s (n + 17) O(n) row updates, squaring (n + 17) O(n^2)
+    table updates plus log2(s) O(n^3) products, in extended precision.
+    Measured at B = 256 rows (n = 6 to 31), chaining stays the faster route
+    up to s ~ 7n to 13n, with its largest array at B * n.  It stops at
+    s = n for accuracy: in double precision, chained or squared tables lose
+    up to ~1e-11 relative once t * spread passes ~100, and s <= n keeps
+    t * spread <= 2n.  Single rows would favour squaring from s = 4 to 16,
+    but batches set the cost of a run.
+    """
+    return n_slices > n
+
+
+@lru_cache(maxsize=None)
+def _bit_reversal(n: int) -> np.ndarray:
+    bits = max(1, (n - 1).bit_length())
+    order = [int(format(i, f"0{bits}b")[::-1], 2) for i in range(1 << bits)]
+    order = np.array([i for i in order if i < n])
+    order.setflags(write=False)
+    return order
+
+
+def _spread_order(delta: np.ndarray) -> np.ndarray:
+    """Per-row node order, from centred nodes, in which every run of
+    consecutive nodes spans the row's whole node cloud.
+
+    Chaining multiplies tables whose entries are divided differences over
+    runs of consecutive nodes.  A run of nearby nodes has a divided
+    difference far larger than the whole row's, and the products cancel
+    down to the small result: sorted nodes at t * spread = 1e3 and q = 40
+    lose all digits.  The nodes are sorted along the principal axis of
+    their cloud and taken in bit-reversed (van der Corput) order.
+    """
+    axis = np.exp(-0.5j * np.angle((delta * delta).sum(axis=1)))
+    order = np.argsort((delta * axis[:, None]).real, axis=1)
+    return order[:, _bit_reversal(delta.shape[1])]
+
+
+def _taylor(r: np.ndarray, bd: np.ndarray, bs: complex, degree: int) -> np.ndarray:
+    """r @ exp(diag(bd) + bs S) by its Taylor polynomial, on the last axis."""
+    acc = r.copy()
+    term = r.copy()
+    nxt = np.empty_like(acc)
+    for k in range(1, degree + 1):
+        np.multiply(term, bd, out=nxt)
+        nxt[..., 1:] += bs * term[..., :-1]
+        nxt *= 1.0 / k
+        acc += nxt
+        term, nxt = nxt, term
+    return acc
+
+
+def _exp_dd_core(t: float, x: np.ndarray) -> tuple[np.ndarray, DdEvalStats]:
+    """e^{-i t [x_b0, ..., x_b(n-1)]} for each row b of a (B, n) node batch.
+
+    Returns (values, stats).  All rows share one slicing (chosen from the
+    worst row), which only ever over-resolves.
     """
     B, n = x.shape
-    stats_ops = 0
-
     if n == 1:
-        rows = np.exp(-1j * t * x)
-        return rows, DdEvalStats(n_slices=1, table_ops=B, taylor_terms=0)
+        values = np.exp(-1j * t * x[:, 0])
+        return values, DdEvalStats(n_slices=1, table_ops=B, taylor_terms=0)
 
-    # Shift each row to its centroid: exp(-it Z) = e^{-it mu} exp(-it (Z - mu)).
-    mu = x.mean(axis=1)
-    delta = x - mu[:, None]
-
-    amax = float(np.abs(t * delta).max())
-    n_slices = 1
-    while amax / n_slices > _SLICE_CAP:
-        n_slices *= 2
+    mu, delta = _centered(x)
+    n_slices = _slice_count(t, delta)
+    squares = _squares(n_slices, n)
+    if n_slices > 1:
+        # one slice is accurate in any node order; chaining is not
+        x = np.take_along_axis(x, _spread_order(delta), axis=1)
+        if squares:
+            # the products of a squaring cancel more than a row update does;
+            # extended precision (where the platform has it) absorbs that
+            x = x.astype(np.clongdouble)
+        mu, delta = _centered(x)
+    # exp(-it Z) = e^{-it mu} exp(-it (Z - mu)); one slice is
+    # e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu), bs = -i tau.
     tau = t / n_slices
-
-    # Slice table T = e^{-i tau mu} exp(-i tau (diag(delta) + S)) with S the
-    # superdiagonal of ones; Taylor terms M_k = M_{k-1} B / k with
-    # B = -i tau (diag(delta) + S), each a bidiagonal multiply.
     bd = -1j * tau * delta
     bs = -1j * tau
-    eye = np.zeros((B, n, n), dtype=complex)
-    idx = np.arange(n)
-    eye[:, idx, idx] = 1.0
-    T = eye.copy()
-    M = eye
-    terms_used = 0
-    for k in range(1, n + _EXTRA_TAYLOR_TERMS + 1):
-        Mn = M * bd[:, None, :]
-        Mn[:, :, 1:] += M[:, :, :-1] * bs
-        M = Mn / k
-        T += M
-        terms_used = k
-        # 2 multiply-adds per upper-triangle entry per term
-        stats_ops += n * (n + 1)
-        if np.abs(M).max() <= 1e-20 * max(1.0, np.abs(T).max()):
-            break
-    T *= np.exp(-1j * tau * mu)[:, None, None]
+    phase = np.exp(-1j * tau * mu)[:, None]
+    # with |bd| <= 1, Taylor term k adds at most tau^j / (j! (k - j)!) to
+    # entry j, whose value is at least ~0.2 tau^j / j!; degree n + 17 so
+    # leaves a tail below 5 / 19! ~ 4e-17 relative to each entry.
+    degree = n + 17
 
-    rows = T[:, 0, :].copy()
-    for _ in range(n_slices - 1):
-        rows = np.einsum("bk,bkj->bj", rows, T)
-        stats_ops += n * (n + 1) // 2
+    if not squares:
+        rows = np.zeros((B, n), dtype=complex)
+        rows[:, 0] = 1.0
+        for _ in range(n_slices):
+            rows = _taylor(rows, bd, bs, degree) * phase
+        ops = n_slices * degree * 2 * n
+    else:
+        eye = np.broadcast_to(np.eye(n, dtype=x.dtype), (B, n, n))
+        table = _taylor(eye, bd[:, None, :], bs, degree) * phase[:, :, None]
+        squarings = n_slices.bit_length() - 1
+        for _ in range(squarings):
+            table = table @ table
+        rows = table[:, 0, :]
+        ops = degree * 2 * n * n + squarings * n ** 3
 
-    return rows, DdEvalStats(n_slices=n_slices, table_ops=stats_ops,
-                             taylor_terms=terms_used)
+    return rows[:, -1].astype(complex), DdEvalStats(
+        n_slices=n_slices, table_ops=ops, taylor_terms=degree)
 
 
 def exp_dd(t, inputs) -> complex:
@@ -153,16 +204,16 @@ def exp_dd(t, inputs) -> complex:
     """
     t = _check_time(t)
     x = as_nodes(inputs)
-    rows, _ = _exp_dd_core(t, x[None, :])
-    return complex(rows[0, -1])
+    values, _ = _exp_dd_core(t, x[None, :])
+    return complex(values[0])
 
 
 def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:
     """``exp_dd`` plus work accounting (slice count, table operations)."""
     t = _check_time(t)
     x = as_nodes(inputs)
-    rows, stats = _exp_dd_core(t, x[None, :])
-    return complex(rows[0, -1]), stats
+    values, stats = _exp_dd_core(t, x[None, :])
+    return complex(values[0]), stats
 
 
 def exp_dd_batch(t, node_rows) -> np.ndarray:
@@ -175,26 +226,13 @@ def exp_dd_batch(t, node_rows) -> np.ndarray:
         return np.zeros(0, dtype=complex)
     if not np.all(np.isfinite(x)):
         raise ValueError("divided-difference inputs must be finite")
-    step = max(1, _CHUNK_ELEMENTS // x.shape[1] ** 2)
-    return np.concatenate([_exp_dd_core(t, x[s:s + step])[0][:, -1]
+    n = x.shape[1]
+    # a chunk never slices more finely than the whole batch, so the batch's
+    # route bounds the array of every chunk's route
+    width = n * n if _squares(_slice_count(t, _centered(x)[1]), n) else n
+    step = max(1, _CHUNK_ELEMENTS // width)
+    return np.concatenate([_exp_dd_core(t, x[s:s + step])[0]
                            for s in range(0, x.shape[0], step)])
-
-
-def exp_dd_table(t, inputs) -> DdTable:
-    """Full triangular table of e^{-i t [x_i, ..., x_j]} over the inputs.
-
-    Row i is the top row of the table for the suffix multiset
-    {x_i, ..., x_q}, so every entry uses the same stable evaluation as
-    ``exp_dd``.
-    """
-    t = _check_time(t)
-    x = as_nodes(inputs)
-    n = x.size
-    entries = np.full((n, n), np.nan + 0j, dtype=complex)
-    for i in range(n):
-        rows, _ = _exp_dd_core(t, x[i:][None, :])
-        entries[i, i:] = rows[0]
-    return DdTable(entries=entries, f_label="exp(-i t x)")
 
 
 def _check_separation(x: np.ndarray) -> None:
@@ -208,12 +246,11 @@ def _check_separation(x: np.ndarray) -> None:
                 "use exp_dd, which handles confluent limits")
 
 
-def dd_recursive_table(f_values, inputs, f_label: str = "f") -> DdTable:
-    """Triangular table of f[x_i, ..., x_j] by the Newton recursion.
+def dd_recursive(f_values, inputs) -> complex:
+    """f[x_0, ..., x_q] by the Newton recursion (test oracle, distinct nodes).
 
-    Cross-check oracle only: requires pairwise-distinct nodes (minimum
-    separation 1e-12 relative to the node scale) because every entry
-    divides by a node gap.
+    Requires pairwise-distinct nodes (minimum separation 1e-12 relative to
+    the node scale) because every step divides by a node gap.
     """
     x = as_nodes(inputs)
     f = np.atleast_1d(np.asarray(f_values, dtype=complex))
@@ -222,20 +259,10 @@ def dd_recursive_table(f_values, inputs, f_label: str = "f") -> DdTable:
     if not np.all(np.isfinite(f)):
         raise ValueError("f_values must be finite")
     _check_separation(x)
-    n = x.size
-    entries = np.full((n, n), np.nan + 0j, dtype=complex)
-    entries[np.arange(n), np.arange(n)] = f
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            entries[i, j] = (entries[i + 1, j] - entries[i, j - 1]) / (x[j] - x[i])
-    return DdTable(entries=entries, f_label=f_label)
-
-
-def dd_recursive(f_values, inputs) -> complex:
-    """f[x_0, ..., x_q] by the Newton recursion (test oracle, distinct nodes)."""
-    table = dd_recursive_table(f_values, inputs)
-    return table.entry(0, table.order)
+    col = f
+    for span in range(1, x.size):
+        col = (col[1:] - col[:-1]) / (x[span:] - x[:-span])
+    return complex(col[0])
 
 
 def shift_inputs(inputs, x) -> np.ndarray:

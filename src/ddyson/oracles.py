@@ -13,8 +13,8 @@ produces, by entirely different numerical routes:
 * ``mat_exp_evolve``: e^{-i H t} |z0> by a dense matrix exponential for
   time-independent models.
 * ``infidelity``: 1 - |<psi|psi_Q>|^2 against a normalized reference.
-* ``exp_dd_highprec``: the divided-difference recursion in >= 50-digit
-  arithmetic (distinct nodes only).
+* ``exp_dd_highprec``: the divided-difference recursion in extended
+  precision, raised until two evaluations agree (distinct nodes only).
 
 Dense oracles are capped at dimension 512: they exist for verification,
 not production scale.  scipy and mpmath are imported inside the oracles
@@ -35,6 +35,7 @@ from .hamiltonian import HamiltonianModel, eval_H, is_time_independent
 
 DENSE_DIMENSION_CAP = 512
 _MAX_SIMPLEX_DEPTH = 5
+_HIGHPREC_MAX_DIGITS = 4000
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,15 @@ def infidelity(psi: StateVector, psi_q: StateVector) -> float:
 
 
 def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
-    """e^{-i t [x_0, ..., x_q]} by the recursion in ``digits``-digit arithmetic.
+    """e^{-i t [x_0, ..., x_q]} by the recursion in extended precision.
 
     Extended-precision oracle for the production kernel; nodes must be
-    pairwise distinct (the recursion divides by gaps).
+    pairwise distinct (the recursion divides by gaps).  The recursion
+    cancels away about q log10(1 / (t gap)) digits, so a fixed precision is
+    no reference at high order or small t * spread.  Starting at ``digits``,
+    the working precision doubles until two successive evaluations agree to
+    1e-24 relative; the finer one is returned.  Raises ``CapacityError``
+    past 4000 digits.
     """
     import mpmath as mp
 
@@ -206,11 +212,27 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
     if np.unique(x).size != x.size:
         raise DegenerateNodesError(
             "extended-precision recursion requires distinct nodes")
-    with mp.workdps(digits):
-        tt = mp.mpf(float(t))
-        xs = [mp.mpc(complex(v)) for v in x]
-        col = [mp.exp(-1j * tt * z) for z in xs]
-        for span in range(1, len(xs)):
-            col = [(col[i + 1] - col[i]) / (xs[i + span] - xs[i])
-                   for i in range(len(col) - 1)]
-        return complex(col[0])
+
+    def recursion(dps):
+        with mp.workdps(dps):
+            tt = mp.mpf(float(t))
+            xs = [mp.mpc(complex(v)) for v in x]
+            col = [mp.exp(-1j * tt * z) for z in xs]
+            for span in range(1, len(xs)):
+                col = [(col[i + 1] - col[i]) / (xs[i + span] - xs[i])
+                       for i in range(len(col) - 1)]
+            return col[0]
+
+    if float(t) == 0.0:
+        return complex(x.size == 1)
+    coarse = recursion(digits)
+    while digits < _HIGHPREC_MAX_DIGITS:
+        digits *= 2
+        fine = recursion(digits)
+        # too few digits can give an exact 0 at both precisions
+        with mp.workdps(digits):
+            if fine != 0 and abs(fine - coarse) <= mp.mpf("1e-24") * abs(fine):
+                return complex(fine)
+        coarse = fine
+    raise CapacityError(
+        f"extended-precision recursion did not settle below {digits} digits")

@@ -1,6 +1,6 @@
 """Divided-difference kernel: closed forms, confluent limits, table
-structure, and agreement with the generic recursion and the
-extended-precision oracle."""
+structure (runs of the nodes), and agreement with the generic recursion
+and the extended-precision oracle."""
 
 import math
 
@@ -10,11 +10,9 @@ import pytest
 from ddyson import (
     DegenerateNodesError,
     dd_recursive,
-    dd_recursive_table,
     exp_dd,
     exp_dd_batch,
     exp_dd_stats,
-    exp_dd_table,
     shift_inputs,
 )
 from ddyson.oracles import exp_dd_highprec
@@ -138,42 +136,48 @@ def test_recursive_rejects_coincident_nodes():
 
 
 # -- tables ------------------------------------------------------------------
+# Entry (i, j) of the divided-difference table is exp_dd over the run
+# x_i..x_j; the runs below include every prefix and suffix.
+
+def _runs(n):
+    return [(i, j) for i in range(n) for j in range(i, n)]
+
 
 def test_table_diagonal_holds_function_values():
     t = 0.7
     nodes = np.array([0.3, -1.2, 2.4])
-    table = exp_dd_table(t, nodes)
     for i, x in enumerate(nodes):
-        assert table.entry(i, i) == pytest.approx(np.exp(-1j * t * x), rel=1e-14)
+        assert exp_dd(t, nodes[i:i + 1]) == pytest.approx(np.exp(-1j * t * x), rel=1e-14)
+        assert dd_recursive([np.exp(-1j * t * x)], [x]) == pytest.approx(
+            np.exp(-1j * t * x), rel=1e-14)
 
 
 def test_table_entries_satisfy_gap_recursion():
     t = 0.5
     nodes = np.array([-3.0, -1.0, 0.5, 2.0, 4.5])
-    table = exp_dd_table(t, nodes)
-    n = nodes.size
-    for span in range(1, n):
-        for i in range(n - span):
-            j = i + span
-            recursed = (table.entry(i + 1, j) - table.entry(i, j - 1)) / (nodes[j] - nodes[i])
-            assert abs(table.entry(i, j) - recursed) <= 1e-10 * abs(table.entry(i, j))
+    for i, j in _runs(nodes.size):
+        if i == j:
+            continue
+        entry = exp_dd(t, nodes[i:j + 1])
+        recursed = (exp_dd(t, nodes[i + 1:j + 1]) - exp_dd(t, nodes[i:j])) / (nodes[j] - nodes[i])
+        assert abs(entry - recursed) <= 1e-10 * abs(entry)
 
 
 def test_table_top_right_equals_exp_dd():
+    # the full set from its confluent prefix [1, 1, -2] and suffix [1, -2, 0.3]
     t = 0.9
     nodes = np.array([1.0, 1.0, -2.0, 0.3])
-    table = exp_dd_table(t, nodes)
-    assert table.entry(0, 3) == pytest.approx(exp_dd(t, nodes), rel=1e-13)
+    recursed = (exp_dd(t, nodes[1:]) - exp_dd(t, nodes[:-1])) / (nodes[-1] - nodes[0])
+    assert exp_dd(t, nodes) == pytest.approx(recursed, rel=1e-13)
 
 
 def test_recursive_table_agrees_with_exp_table():
     t = 0.4
     nodes = np.array([-2.0, 0.5, 1.5, 3.0])
-    rec = dd_recursive_table(np.exp(-1j * t * nodes), nodes, f_label="exp(-i t x)")
-    stable = exp_dd_table(t, nodes)
-    for i in range(4):
-        for j in range(i, 4):
-            assert rec.entry(i, j) == pytest.approx(stable.entry(i, j), rel=1e-10)
+    for i, j in _runs(nodes.size):
+        run = nodes[i:j + 1]
+        rec = dd_recursive(np.exp(-1j * t * run), run)
+        assert rec == pytest.approx(exp_dd(t, run), rel=1e-10)
 
 
 # -- batch and stats ---------------------------------------------------------
@@ -219,6 +223,8 @@ def test_rejects_empty_and_nonfinite_inputs():
         exp_dd(0.5, [np.inf])
     with pytest.raises(ValueError):
         exp_dd(np.nan, [1.0])
+    with pytest.raises(ValueError):
+        exp_dd(1e300, [0.0, 1e300])  # t * spread overflows
     with pytest.raises(ValueError):
         shift_inputs([1.0], np.inf)
 

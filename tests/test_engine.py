@@ -309,35 +309,45 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
 
 
+def _record_kernel_arrays(monkeypatch):
+    # the kernel's largest arrays are the operands of its Taylor loop:
+    # (B, n) rows on the vector route, (B, n, n) tables on the squaring route
+    shapes = []
+    taylor = divdiff._taylor
+
+    def recorded(r, *args):
+        shapes.append(r.shape)
+        return taylor(r, *args)
+
+    monkeypatch.setattr(divdiff, "_taylor", recorded)
+    return shapes
+
+
 def test_kernel_calls_stay_within_work_budget(monkeypatch):
-    seen = []
-    core = divdiff._exp_dd_core
-
-    def recorded(t, x):
-        seen.append(x.shape[0] * x.shape[1] ** 2)
-        return core(t, x)
-
-    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    shapes = _record_kernel_arrays(monkeypatch)
     nodes = np.random.default_rng(40).uniform(-1.0, 1.0, (3000, 12))
-    values = divdiff.exp_dd_batch(0.5, nodes)
-    assert len(seen) > 1
-    assert max(seen) <= divdiff._CHUNK_ELEMENTS
-    for i in (0, 1234, 2999):
-        assert values[i] == pytest.approx(exp_dd(0.5, nodes[i]), rel=1e-12)
+    # t = 0.5 needs one slice (vector route); t = 50 needs 64 > 12 (squaring)
+    for t, rows, ndim in ((0.5, 3000, 2), (50.0, 600, 3)):
+        shapes.clear()
+        values = divdiff.exp_dd_batch(t, nodes[:rows])
+        assert len(shapes) > 1
+        assert {len(shape) for shape in shapes} == {ndim}
+        assert max(np.prod(shape) for shape in shapes) <= divdiff._CHUNK_ELEMENTS
+        for i in (0, 123, rows - 1):
+            assert values[i] == pytest.approx(exp_dd(t, nodes[i]), rel=1e-12)
 
 
 def test_engine_kernel_calls_stay_within_work_budget(monkeypatch):
-    seen = []
-    core = divdiff._exp_dd_core
-
-    def recorded(t, x):
-        seen.append(x.shape[0] * x.shape[1] ** 2)
-        return core(t, x)
-
-    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
-    model = random_ti_model(np.random.default_rng(41), 0.4)
+    shapes = _record_kernel_arrays(monkeypatch)
+    widths = []
+    batch = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: widths.append(nodes.size) or batch(t, nodes))
+    # this model hands exp_dd_batch wider batches than the budget allows
+    model = random_ti_model(np.random.default_rng(43), 0.4)
     evolve_ti(model, 0, 0.4, 20)
-    assert max(seen) <= divdiff._CHUNK_ELEMENTS
+    assert max(widths) > divdiff._CHUNK_ELEMENTS
+    assert max(np.prod(shape) for shape in shapes) <= divdiff._CHUNK_ELEMENTS
 
 
 def test_decaying_drive_stays_bounded_at_long_times():
