@@ -41,7 +41,6 @@ from .hamiltonian import (
     eval_V,
     is_time_independent,
     path_energies,
-    walk_path,
 )
 from .models import (
     AnharmonicParams,
@@ -60,8 +59,6 @@ from .models import (
     serialize_model,
 )
 from .oracles import (
-    QuadratureResult,
-    QuadratureSpec,
     dd_nodes_from_rates,
     exp_dd_highprec,
     infidelity,

@@ -1,9 +1,10 @@
-"""Command-line driver: evolve states, sweep infidelity, list amplitudes,
-and run the validation battery, emitting CSV or JSON.
+"""Command-line driver: evolve states, sweep infidelity and list amplitudes
+(CSV or JSON tables, ``--format``), and run the validation battery (a JSON
+report of the suites drawn from ``--seed``).
 
 Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 3 capacity exceeded.  Output files are deterministic for a fixed
-command line and seed.
+command line.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .engine import StateVector, amplitude_by_order, evolve, evolve_by_order
 from .errors import CapacityError, ModelError, StiffnessError
 from .models import (
     BUILTIN_MODELS,
-    FermiParams,
     anharmonic_default_dimension,
     build_named,
     fermi_amplitude_closed_form,
+    fermi_params,
     load_model,
 )
 from .oracles import infidelity, ode_evolve
@@ -192,9 +193,7 @@ def _cmd_amplitude(args) -> int:
 
     closed = None
     if args.model == "fermi":
-        merged = {"e_in": 0.0, "e_fin": 1.0, "e_drive": 1.0, "gamma": 0.01}
-        merged.update(dict(args.param))
-        fp = FermiParams(**merged)
+        fp = fermi_params(dict(args.param))
         closed = [fermi_amplitude_closed_form(fp, q, t) for q in range(q_max + 1)]
 
     amps = amplitude_by_order(model, args.zin, args.zfin, t, q_max)
@@ -264,11 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[], metavar="k=v",
                        help="built-in model parameter (repeatable)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("evolve", help="per-state amplitudes and populations")
-    add_common(p)
+    def add_table_command(name, summary):
+        p = sub.add_parser(name, help=summary)
+        add_common(p)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        return p
+
+    p = add_table_command("evolve", "per-state amplitudes and populations")
     p.add_argument("--z0", type=int, required=True)
     p.add_argument("--t", type=_parse_time_grid, required=True,
                    metavar="val|start:stop:steps")
@@ -277,17 +279,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add adaptive-integration reference columns")
     p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("infidelity-sweep",
-                       help="1 - |<psi|psi_Q>|^2 against the ODE reference")
-    add_common(p)
+    p = add_table_command("infidelity-sweep",
+                          "1 - |<psi|psi_Q>|^2 against the ODE reference")
     p.add_argument("--z0", type=int, required=True)
     p.add_argument("--t", type=_parse_time_grid, required=True)
     p.add_argument("--Q", type=_parse_order_list, required=True,
                    help="comma-separated truncation orders")
     p.set_defaults(func=_cmd_infidelity_sweep)
 
-    p = sub.add_parser("amplitude", help="order-resolved transition amplitudes")
-    add_common(p)
+    p = add_table_command("amplitude", "order-resolved transition amplitudes")
     p.add_argument("--zin", type=int, required=True)
     p.add_argument("--zfin", type=int, required=True)
     p.add_argument("--t", type=_parse_time_grid, required=True)
@@ -296,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the randomized cross-check suites")
     add_common(p, need_model=False)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random cases")
     p.set_defaults(func=_cmd_validate)
 
     return parser

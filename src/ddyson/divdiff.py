@@ -49,7 +49,6 @@ class DdEvalStats:
 
     n_slices: int
     table_ops: int
-    taylor_terms: int
 
     @property
     def ops_per_slice(self) -> float:
@@ -77,7 +76,8 @@ def _check_time(t) -> float:
 
 def _slice_count(t: float, delta: np.ndarray) -> int:
     """Smallest power of two s with |t * delta| / s <= _SLICE_CAP."""
-    amax = float(np.abs(t * delta).max())
+    with np.errstate(over="ignore"):
+        amax = float(np.abs(t * delta).max())
     if not np.isfinite(amax):
         raise ValueError("time times node spread overflows")
     mant, exp = math.frexp(amax / _SLICE_CAP)
@@ -152,7 +152,7 @@ def _exp_dd_core(t: float, x: np.ndarray) -> tuple[np.ndarray, DdEvalStats]:
     B, n = x.shape
     if n == 1:
         values = np.exp(-1j * t * x[:, 0])
-        return values, DdEvalStats(n_slices=1, table_ops=B, taylor_terms=0)
+        return values, DdEvalStats(n_slices=1, table_ops=B)
 
     mu, delta = _centered(x)
     n_slices = _slice_count(t, delta)
@@ -191,8 +191,8 @@ def _exp_dd_core(t: float, x: np.ndarray) -> tuple[np.ndarray, DdEvalStats]:
         rows = table[:, 0, :]
         ops = degree * 2 * n * n + squarings * n ** 3
 
-    return rows[:, -1].astype(complex), DdEvalStats(
-        n_slices=n_slices, table_ops=ops, taylor_terms=degree)
+    return rows[:, -1].astype(complex), DdEvalStats(n_slices=n_slices,
+                                                    table_ops=ops)
 
 
 def exp_dd(t, inputs) -> complex:
@@ -202,10 +202,7 @@ def exp_dd(t, inputs) -> complex:
     the confluent limit, e.g. q+1 equal nodes give (-it)^q e^{-itx} / q!.
     The value is invariant under permutation of the inputs.
     """
-    t = _check_time(t)
-    x = as_nodes(inputs)
-    values, _ = _exp_dd_core(t, x[None, :])
-    return complex(values[0])
+    return exp_dd_stats(t, inputs)[0]
 
 
 def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:

@@ -49,9 +49,6 @@ class PermutationMap:
         tgt = int(self.targets[z])
         return None if tgt < 0 else tgt
 
-    def is_identity(self) -> bool:
-        return bool(np.all(self.targets == np.arange(self.dimension)))
-
     @classmethod
     def identity(cls, dimension: int) -> "PermutationMap":
         return cls(np.arange(dimension, dtype=np.int64))
@@ -125,8 +122,7 @@ class HamiltonianModel:
     """Free spectrum plus M permutation terms with K factors each.
 
     Immutable after construction; all operations on it are read-only.
-    Term indices are 1-based throughout (index 0 is reserved for the
-    identity permutation in path notation).
+    Term indices are 1-based throughout.
     """
 
     energies: np.ndarray
@@ -163,7 +159,7 @@ class HamiltonianModel:
         return self.terms[0].n_factors
 
     def term(self, i: int) -> PermutationTerm:
-        """Term by 1-based index (0 is the reserved identity, not stored)."""
+        """Term by 1-based index."""
         if not 1 <= i <= self.n_terms:
             raise ValueError(f"term index {i} outside [1, {self.n_terms}]")
         return self.terms[i - 1]
@@ -203,32 +199,8 @@ def eval_H(model: HamiltonianModel, t) -> np.ndarray:
     return H
 
 
-def walk_path(model: HamiltonianModel, z: int, path):
-    """Basis trajectory z, P_{i_1} z, ..., or None when a step leaves the basis.
-
-    Path entries are 1-based term indices; 0 steps through the reserved
-    identity.  An undefined trajectory is a normal pruning outcome, not an
-    error.
-    """
-    if not 0 <= z < model.dimension:
-        raise ValueError(f"basis index {z} outside [0, {model.dimension})")
-    states = [int(z)]
-    cur = int(z)
-    for i in path:
-        i = int(i)
-        if i == 0:
-            states.append(cur)
-            continue
-        nxt = model.term(i).perm.apply(cur)
-        if nxt is None:
-            return None
-        states.append(nxt)
-        cur = nxt
-    return tuple(states)
-
-
 def path_energies(model: HamiltonianModel, trajectory) -> np.ndarray:
-    """Free energies E_z along a trajectory from ``walk_path``."""
+    """Free energies E_z along a trajectory of basis indices."""
     states = np.asarray(trajectory, dtype=np.int64)
     if states.ndim != 1 or states.size == 0:
         raise ValueError("trajectory must be a nonempty index sequence")

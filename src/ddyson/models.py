@@ -327,12 +327,17 @@ def _named_anharmonic(params: dict) -> HamiltonianModel:
         n_max=int(p["n_max"])))
 
 
-def _named_fermi(params: dict) -> HamiltonianModel:
+def fermi_params(params: dict) -> FermiParams:
+    """``FermiParams`` of the built-in ``fermi`` model, defaults filled in."""
     p = _floats(params,
                 {"e_in": 0.0, "e_fin": 1.0, "e_drive": 1.0, "gamma": 0.01},
                 "fermi")
-    return build_fermi(FermiParams(e_in=p["e_in"], e_fin=p["e_fin"],
-                                   e_drive=p["e_drive"], gamma=p["gamma"]))
+    return FermiParams(e_in=p["e_in"], e_fin=p["e_fin"],
+                       e_drive=p["e_drive"], gamma=p["gamma"])
+
+
+def _named_fermi(params: dict) -> HamiltonianModel:
+    return build_fermi(fermi_params(params))
 
 
 BUILTIN_MODELS = {

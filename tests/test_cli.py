@@ -138,6 +138,21 @@ def test_amplitude_annotates_closed_forms(tmp_path):
     assert cum == pytest.approx(float(rows[-1]["cum_re"]), abs=1e-15)
 
 
+def test_amplitude_closed_forms_use_the_model_defaults(tmp_path):
+    # only gamma is given: the closed form must see the same defaulted levels
+    # and drive (resonant, e_in + e_drive = e_fin) as the model
+    out = tmp_path / "amp.csv"
+    assert run(["amplitude", "--model", "fermi", "--param", "gamma=0.02",
+                "--zin", "0", "--zfin", "1", "--t", "0.7", "--Q", "5",
+                "--out", str(out)]) == 0
+    odd = [r for r in read_csv(out) if int(r["order"]) % 2 == 1]
+    assert len(odd) == 3
+    for row in odd:
+        for part in ("re", "im"):
+            assert float(row[part]) == pytest.approx(
+                float(row[f"closed_{part}"]), rel=1e-12, abs=1e-300)
+
+
 def test_amplitude_no_annotation_for_config_models(tmp_path):
     m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.0))
     cfg_path = tmp_path / "spin.json"
@@ -158,8 +173,9 @@ def test_validate_passes_and_writes_report(tmp_path):
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["all_passed"] is True
     assert report["seed"] == 7
-    names = {s["name"] for s in report["suites"]}
-    assert "identity1_simplex_vs_kernel" in names
+    assert [s["name"] for s in report["suites"]] == [
+        "identity1_simplex_vs_kernel", "identity2_shift", "alpha_beta_bridge",
+        "ti_vs_matrix_exponential"]
     assert all(s["passed"] for s in report["suites"])
 
 
@@ -192,6 +208,17 @@ def test_config_error_exit_code(tmp_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["evolve", "--model", "single_spin"])  # missing required flags
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0.5", "--Q", "3",
+     "--seed", "1"],
+    ["validate", "--format", "csv"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
     assert exc.value.code == 2
 
 

@@ -18,7 +18,6 @@ from ddyson import (
     eval_V,
     is_time_independent,
     path_energies,
-    walk_path,
 )
 from ddyson.models import FermiParams
 
@@ -36,7 +35,6 @@ def test_shift_map_prunes_outside_basis():
 
 def test_identity_map():
     p = PermutationMap.identity(4)
-    assert p.is_identity()
     assert [p.apply(z) for z in range(4)] == [0, 1, 2, 3]
 
 
@@ -142,47 +140,16 @@ def test_non_hermitian_models_are_allowed():
 
 # -- trajectories ------------------------------------------------------------
 
-def test_walk_empty_path():
-    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5))
-    assert walk_path(m, 1, []) == (1,)
-
-
-def test_walk_anharmonic_lowering_boundary():
-    m = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
-                                          gamma_eff=0.02, n_max=9))
-    # term 1 is the -4 ladder shift
-    assert walk_path(m, 4, [1]) == (4, 0)
-    assert walk_path(m, 2, [1]) is None
-
-
-def test_walk_identity_index_zero_keeps_state():
-    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5))
-    assert walk_path(m, 0, [0, 1, 0, 1, 0]) == (0, 0, 1, 1, 0, 0)
-    plain = walk_path(m, 0, [1, 1])
-    padded = walk_path(m, 0, [0, 1, 0, 1])
-    assert plain[-1] == padded[-1]
-
-
-def test_walk_rejects_bad_indices():
-    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5))
-    with pytest.raises(ValueError):
-        walk_path(m, 5, [1])
-    with pytest.raises(ValueError):
-        walk_path(m, 0, [2])
-
-
 def test_path_energies_single_spin_alternates():
     a = 1.3
     m = build_single_spin(SingleSpinParams(a=a, b=0.5))
-    traj = walk_path(m, 0, [1, 1])
-    assert np.allclose(path_energies(m, traj), [a, -a, a])
+    assert np.allclose(path_energies(m, (0, 1, 0)), [a, -a, a])
 
 
 def test_path_energies_anharmonic_lowering():
     m = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
                                           gamma_eff=0.02, n_max=9))
-    traj = walk_path(m, 4, [1])
-    assert np.allclose(path_energies(m, traj), [4.5, 0.5])
+    assert np.allclose(path_energies(m, (4, 0)), [4.5, 0.5])
 
 
 def test_path_energies_match_free_diagonal(free_model):
