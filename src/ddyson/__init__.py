@@ -21,7 +21,6 @@ from .engine import (
     alpha,
     amplitude_by_order,
     beta,
-    count_paths_bound,
     d_product,
     enumerate_paths,
     evolve,

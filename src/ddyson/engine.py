@@ -25,20 +25,32 @@ merge by summing their weights, which changes no value.  A step whose
 permutation image leaves the basis, or whose d diagonal vanishes at the
 landing state, is pruned.  Children are visited depth-first in blocks of
 ``_BLOCK_ROWS`` rows, so the working set stays bounded at every order.
+
+Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
+per call, counted with the kernel's own cost formula
+(``divdiff._table_ops``).  ``evolve_by_order`` adds the cost of each
+block's children when it builds them, and ``enumerate_paths`` the
+one-slice cost of each path it yields; either raises ``CapacityError``
+before the kernel runs rows past the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import exp_dd, exp_dd_batch
+from .divdiff import _check_time, _slice_count, _table_ops, exp_dd, exp_dd_batch
 from .errors import CapacityError, ModelError
-from .hamiltonian import HamiltonianModel, is_time_independent, path_energies
+from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
+                          path_energies)
 
-_CAPACITY_LIMIT = 2 ** 63
+# Kernel table operations one call may spend.  The oscillator (z0 = 4,
+# t = 0.06) passes at Q = 7 (7e8 operations, ~3 s on 2 cores); inputs past
+# the budget raise within ~2 s.
+_WORK_LIMIT = 2 ** 30
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
 PICTURES = ("schrodinger", "interaction")
@@ -143,19 +155,11 @@ def beta(model: HamiltonianModel, path: Path, t) -> complex:
     return d_product(model, path) * exp_dd(t, y_inputs(model, path))
 
 
-def count_paths_bound(model: HamiltonianModel, max_order: int) -> int:
-    """Upper bound sum_q (M K)^q on the number of enumerated paths."""
-    mk = model.n_terms * model.n_factors
-    return sum(mk ** q for q in range(max_order + 1))
-
-
-def _check_capacity(model: HamiltonianModel, max_order: int) -> None:
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    if count_paths_bound(model, max_order) >= _CAPACITY_LIMIT:
-        raise CapacityError(
-            f"path bound sum_q (MK)^q at max_order={max_order} exceeds 2^63; "
-            "reduce the expansion order")
+def _over_budget(work: int, order: int) -> CapacityError:
+    return CapacityError(
+        f"kernel work reached {work:.3g} table operations by order {order}, "
+        f"past the budget of {_WORK_LIMIT:.3g}; "
+        "reduce the expansion order or the time")
 
 
 def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
@@ -163,14 +167,20 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
 
     Depth-first over (term, factor) steps: a step whose permutation image
     leaves the basis, or whose d diagonal vanishes at the landing state, is
-    pruned with its subtree.  Raises CapacityError when the bound
-    sum_q (MK)^q does not fit a 64-bit counter.
+    pruned with its subtree.  Each path counts its one-slice kernel cost
+    against the work budget; the generator raises CapacityError at the
+    path that passes it.
     """
-    if not 0 <= z < model.dimension:
-        raise ValueError(f"basis index {z} outside [0, {model.dimension})")
-    _check_capacity(model, max_order)
+    _check_index(model, z)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    work = 0
 
     def walk(terms, factors, trajectory):
+        nonlocal work
+        work += _table_ops(len(trajectory), 1)
+        if work > _WORK_LIMIT:
+            raise _over_budget(work, len(terms))
         yield Path(origin=z, terms=terms, factors=factors, trajectory=trajectory)
         if len(terms) == max_order:
             return
@@ -237,16 +247,16 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     partial sums over rows give every truncation at once.  Each frontier
     block is one ``exp_dd_batch`` call: row (z, Lam, w, weight) adds
     weight * e^{-it[w - Lam]} at z, with the nodes shifted by a further -E_z
-    in the interaction picture.  Deterministic for fixed arguments.
+    in the interaction picture.  Deterministic for fixed arguments.  Raises
+    CapacityError once the children built so far would cost the kernel more
+    than the work budget.
     """
-    if not 0 <= z0 < model.dimension:
-        raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+    _check_index(model, z0)
+    t = _check_time(t)
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
-    _check_capacity(model, max_order)
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
 
     energies = model.energies
     tables = _step_tables(model)
@@ -255,6 +265,7 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     root = _Rows(np.array([z0]), np.zeros(1, complex),
                  np.full((1, 1), energies[z0], complex), np.ones(1, complex))
     stack = [(0, root)]
+    work = _table_ops(1, 1)
     while stack:
         q, rows = stack.pop()
         nodes = rows.w - rows.lam[:, None]
@@ -265,6 +276,18 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
                    + 1j * np.bincount(rows.z, values.imag, D))
         if q < max_order:
             kids = _children(rows, energies, *tables)
+            if kids.z.size == 0:
+                continue
+            # Lam and E_z shift a row by a constant, so the spread of w sets
+            # the slicing; re + im spread bounds every |w_j - mean| in a row.
+            # w is sorted by real part, and the imaginary extremes are
+            # reduced column by column (a row-wise reduction costs ~7x more)
+            im = kids.w.imag.T
+            spread = (kids.w[:, -1].real - kids.w[:, 0].real
+                      + reduce(np.maximum, im) - reduce(np.minimum, im))
+            work += kids.z.size * _table_ops(q + 2, _slice_count(t, spread))
+            if work > _WORK_LIMIT:
+                raise _over_budget(work, q + 1)
             starts = range(0, kids.z.size, _BLOCK_ROWS)
             stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)))
                          for s in reversed(starts))
@@ -281,16 +304,14 @@ def evolve(model: HamiltonianModel, z0: int, t, max_order: int,
 def transition_amplitude(model: HamiltonianModel, z_in: int, z_fin: int,
                          t, max_order: int) -> complex:
     """<z_fin| state |z_in>: exactly the evolved amplitude at z_fin."""
-    if not 0 <= z_fin < model.dimension:
-        raise ValueError(f"basis index {z_fin} outside [0, {model.dimension})")
+    _check_index(model, z_fin)
     return complex(evolve(model, z_in, t, max_order).amplitudes[z_fin])
 
 
 def amplitude_by_order(model: HamiltonianModel, z_in: int, z_fin: int,
                        t, max_order: int) -> np.ndarray:
     """Order-resolved transition amplitudes, length max_order + 1."""
-    if not 0 <= z_fin < model.dimension:
-        raise ValueError(f"basis index {z_fin} outside [0, {model.dimension})")
+    _check_index(model, z_fin)
     orders = evolve_by_order(model, z_in, t, max_order)
     return orders[:, z_fin].copy()
 

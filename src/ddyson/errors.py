@@ -14,7 +14,9 @@ class DegenerateNodesError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Requested enumeration or quadrature exceeds the supported size."""
+    """Requested work exceeds a fixed budget: kernel table operations for
+    the expansion engine and path enumeration, depth or precision for the
+    oracles."""
 
 
 class StiffnessError(RuntimeError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divdiff import _check_time
 from .errors import ModelError
 
 
@@ -165,6 +166,11 @@ class HamiltonianModel:
         return self.terms[i - 1]
 
 
+def _check_index(model: HamiltonianModel, z: int) -> None:
+    if not 0 <= z < model.dimension:
+        raise ValueError(f"basis index {z} outside [0, {model.dimension})")
+
+
 def is_time_independent(model: HamiltonianModel) -> bool:
     """True when V carries no time dependence (K = 1 and all lam = 0)."""
     if model.n_factors != 1:
@@ -177,9 +183,7 @@ def eval_V(model: HamiltonianModel, t) -> np.ndarray:
 
     Oracle-side helper: the expansion engine never materializes matrices.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+    t = _check_time(t)
     D = model.dimension
     V = np.zeros((D, D), dtype=complex)
     for tm in model.terms:

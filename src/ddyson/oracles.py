@@ -26,10 +26,10 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .divdiff import as_nodes
+from .divdiff import _check_time, as_nodes
 from .engine import StateVector
 from .errors import CapacityError, DegenerateNodesError, StiffnessError
-from .hamiltonian import HamiltonianModel, eval_H, is_time_independent
+from .hamiltonian import HamiltonianModel, _check_index, eval_H, is_time_independent
 
 DENSE_DIMENSION_CAP = 512
 _MAX_SIMPLEX_DEPTH = 5
@@ -74,9 +74,7 @@ def simplex_integral(t, gammas) -> complex:
 
     Cost grows as 32^q, so depth is capped at q = 5.
     """
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+    t = _check_time(t)
     g = np.atleast_1d(np.asarray(gammas, dtype=complex))
     if g.ndim != 1 or g.size == 0:
         raise ValueError("gammas must be a nonempty 1-D sequence")
@@ -101,11 +99,8 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     from scipy.integrate import solve_ivp
 
     _check_dense(model)
-    if not 0 <= z0 < model.dimension:
-        raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+    _check_index(model, z0)
+    t = _check_time(t)
 
     psi0 = np.zeros(model.dimension, dtype=complex)
     psi0[z0] = 1.0
@@ -143,11 +138,8 @@ def mat_exp_evolve(model: HamiltonianModel, z0: int, t) -> StateVector:
     _check_dense(model)
     if not is_time_independent(model):
         raise ValueError("mat_exp_evolve requires a time-independent model")
-    if not 0 <= z0 < model.dimension:
-        raise ValueError(f"basis index {z0} outside [0, {model.dimension})")
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValueError("time must be finite")
+    _check_index(model, z0)
+    t = _check_time(t)
     U = expm(-1j * t * eval_H(model, 0.0))
     return StateVector(amplitudes=U[:, z0].copy(), time=t)
 

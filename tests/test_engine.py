@@ -3,6 +3,7 @@ evolution, the frontier's merging and work budget, and the
 time-independent specialization."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from ddyson import (
     build_anharmonic,
     build_fermi,
     build_single_spin,
-    count_paths_bound,
     d_product,
     enumerate_paths,
     evolve,
@@ -39,7 +39,7 @@ from ddyson import (
 )
 from ddyson import divdiff, engine
 from ddyson.engine import PICTURES
-from ddyson.models import FermiParams
+from ddyson.models import FermiParams, anharmonic_default_dimension
 from ddyson.validate import random_model, random_ti_model
 
 SPIN = SingleSpinParams(a=1.0, b=0.5, gamma=0.2)
@@ -216,7 +216,6 @@ def test_enumerate_prunes_boundary_and_zero_d():
 def test_capacity_guard():
     m = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
                                           gamma_eff=0.02, n_max=9))
-    assert count_paths_bound(m, 2) == 1 + 10 + 100
     with pytest.raises(CapacityError):
         list(enumerate_paths(m, 4, 100))
     with pytest.raises(CapacityError):
@@ -363,14 +362,18 @@ def test_decaying_drive_stays_bounded_at_long_times():
         assert np.abs(got - want).max() <= 1e-12
 
 
-def test_cosine_drive_high_order_stays_small():
-    # two levels flipped by d cos(2t) at every step: K^q factor rows per walk
-    # if expanded whole, ~300 MB of kernel temporaries at Q = 14
+def cosine_drive():
+    """Two levels flipped by d cos(2t) at every step: K^q rows per order."""
     dim = 2
     factors = tuple(ExpSumFactor(lam=np.full(dim, s), d=np.full(dim, 0.1))
                     for s in (2.0, -2.0))
     term = PermutationTerm(perm=PermutationMap(np.array([1, 0])), factors=factors)
-    m = HamiltonianModel(energies=np.array([-0.5, 0.5]), terms=(term,))
+    return HamiltonianModel(energies=np.array([-0.5, 0.5]), terms=(term,))
+
+
+def test_cosine_drive_high_order_stays_small():
+    # if expanded whole, ~300 MB of kernel temporaries at Q = 14
+    m = cosine_drive()
     t = 0.5
     tracemalloc.start()
     try:
@@ -382,6 +385,53 @@ def test_cosine_drive_high_order_stays_small():
     # the order-15 tail is below (0.2 t)^15 / 15!, far under the tolerance
     reference = ode_evolve(m, 0, t, tol=1e-12)
     assert np.abs(st.amplitudes - reference.amplitudes).max() <= 1e-9
+
+
+def test_work_budget_fails_fast():
+    # admitted by the old path-count bound, this run would take minutes
+    start = time.perf_counter()
+    with pytest.raises(CapacityError):
+        evolve(cosine_drive(), 0, 0.5, 20)
+    assert time.perf_counter() - start < 3.0
+
+
+def oscillator(z0, Q):
+    return build_anharmonic(AnharmonicParams(
+        omega=1.0, Omega=2.0, gamma_eff=0.02,
+        n_max=anharmonic_default_dimension(z0, Q)))
+
+
+@pytest.mark.parametrize("model, z0, t, Q", [
+    (oscillator(4, 5), 4, 0.06, 5),
+    # t * spread ~ 3e3: every order past 0 takes the squaring route
+    (build_single_spin(SPIN), 0, 1000.0, 5),
+], ids=["oscillator", "decaying-spin"])
+def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
+    ran = []
+    core = divdiff._exp_dd_core
+
+    def recorded(t, x):
+        values, stats = core(t, x)
+        ran.append(len(x) * stats.table_ops)
+        return values, stats
+
+    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    evolve_by_order(model, z0, t, Q)
+    kernel_work = sum(ran)
+    # a budget one below the kernel's work must be passed by the count, and
+    # before the kernel has run past it
+    monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work - 1)
+    ran.clear()
+    with pytest.raises(CapacityError):
+        evolve_by_order(model, z0, t, Q)
+    assert sum(ran) <= kernel_work - 1
+
+
+def test_work_budget_admits_oscillator_order_six():
+    # ~7e7 table operations, well inside the budget
+    orders = evolve_by_order(oscillator(4, 6), 4, 0.06, 6)
+    assert np.isfinite(orders).all()
+    assert np.abs(orders[6]).max() > 0
 
 
 def test_invalid_arguments():
