@@ -63,6 +63,9 @@ class AnharmonicParams:
             raise ModelError("anharmonic parameters must be finite")
         if self.omega <= 0:
             raise ModelError("oscillator frequency omega must be > 0")
+        if not float(self.n_max).is_integer() or self.n_max < 5:
+            raise ModelError("anharmonic truncation needs an integer n_max >= 5 "
+                             f"(the +4 ladder term needs headroom), got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,6 @@ def build_anharmonic(params: AnharmonicParams) -> HamiltonianModel:
     two factors lam = -+Omega (unit weight) and d scaled by gamma_eff.
     """
     D = int(params.n_max)
-    if D < 5:
-        raise ModelError("anharmonic truncation needs n_max >= 5 "
-                         "(the +4 ladder term needs headroom)")
     energies = params.omega * (np.arange(D) + 0.5)
     terms = []
     for shift in (-4, -2, 0, 2, 4):
@@ -239,6 +239,8 @@ def model_from_config(cfg: dict) -> HamiltonianModel:
                 mapping = tc["mapping"]
                 if not isinstance(mapping, list) or len(mapping) != dim:
                     raise ModelError(f"{where}: 'mapping' must list {dim} targets")
+                if any(e is not None and type(e) is not int for e in mapping):
+                    raise ModelError(f"{where}: 'mapping' targets must be integers or null")
                 perm = PermutationMap.from_mapping(mapping)
         except ModelError:
             raise
@@ -324,7 +326,7 @@ def _named_anharmonic(params: dict) -> HamiltonianModel:
                 "anharmonic")
     return build_anharmonic(AnharmonicParams(
         omega=p["omega"], Omega=p["Omega"], gamma_eff=p["gamma"],
-        n_max=int(p["n_max"])))
+        n_max=p["n_max"]))
 
 
 def fermi_params(params: dict) -> FermiParams:

@@ -51,8 +51,8 @@ class SuiteResult:
 
 
 def random_model(rng: np.random.Generator, dim: int = 4, n_terms: int = 2,
-                 n_factors: int = 2, time_independent: bool = False,
-                 v_scale: float = 1.0) -> HamiltonianModel:
+                 n_factors: int = 2,
+                 time_independent: bool = False) -> HamiltonianModel:
     """Random dense-spectrum model with full random permutations.
 
     Time-independent variants get one factor with lam = 0; otherwise each
@@ -70,20 +70,17 @@ def random_model(rng: np.random.Generator, dim: int = 4, n_terms: int = 2,
             else:
                 lam = (rng.uniform(-1.5, 1.5, dim)
                        + 1j * rng.uniform(0.0, 0.5, dim))
-            d = v_scale * (rng.uniform(-1.0, 1.0, dim)
-                           + 1j * rng.uniform(-1.0, 1.0, dim))
+            d = rng.uniform(-1.0, 1.0, dim) + 1j * rng.uniform(-1.0, 1.0, dim)
             factors.append(ExpSumFactor(lam=lam, d=d))
         terms.append(PermutationTerm(perm=perm, factors=tuple(factors)))
     return HamiltonianModel(energies=energies, terms=tuple(terms))
 
 
-def suite_identity1(seed: int = 0, real_cases: int = 100,
-                    complex_cases: int = 25,
-                    tolerance: float = 1e-8) -> SuiteResult:
-    """Kernel vs nested simplex quadrature (the Hermite-Genocchi route)."""
+def suite_identity1(seed: int = 0) -> SuiteResult:
+    """Kernel vs simplex quadrature at depth 1-4: 100 real, then 25 complex draws."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    total = real_cases + complex_cases
+    real_cases, total, tolerance = 100, 125, 1e-8
     for case in range(total):
         q = int(rng.integers(1, 5))
         g = rng.uniform(-2.0, 2.0, q).astype(complex)
@@ -97,11 +94,11 @@ def suite_identity1(seed: int = 0, real_cases: int = 100,
                        worst, tolerance, total)
 
 
-def suite_identity2(seed: int = 0, cases: int = 200,
-                    tolerance: float = 1e-10) -> SuiteResult:
-    """Shift identity e^{-it[x]} = e^{-itc} e^{-it[x - c]} on random inputs."""
+def suite_identity2(seed: int = 0) -> SuiteResult:
+    """Shift identity e^{-it[x]} = e^{-itc} e^{-it[x - c]} on 200 random inputs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    cases, tolerance = 200, 1e-10
     for _ in range(cases):
         q = int(rng.integers(0, 11))
         nodes = rng.uniform(-5.0, 5.0, q + 1) + 1j * rng.uniform(-2.0, 2.0, q + 1)
@@ -114,19 +111,19 @@ def suite_identity2(seed: int = 0, cases: int = 200,
                        tolerance, cases)
 
 
-def suite_alpha_beta(seed: int = 0, n_models: int = 4, max_order: int = 3,
-                     tolerance: float = 1e-10,
+def suite_alpha_beta(seed: int = 0,
                      model: HamiltonianModel | None = None) -> SuiteResult:
-    """beta = alpha * e^{-i t E_final} for every enumerated path."""
+    """beta = alpha * e^{-i t E_final} on every path of order <= 3 (4 random models)."""
     rng = np.random.default_rng(seed)
+    tolerance = 1e-10
     models = [model] if model is not None else [
-        random_model(rng) for _ in range(n_models)]
+        random_model(rng) for _ in range(4)]
     worst = 0.0
     count = 0
     for m in models:
         t = float(rng.uniform(0.1, 1.0))
         z0 = int(rng.integers(0, m.dimension))
-        for path in enumerate_paths(m, z0, max_order):
+        for path in enumerate_paths(m, z0, 3):
             b = beta(m, path, t)
             bridged = alpha(m, path, t) * np.exp(
                 -1j * t * m.energies[path.trajectory[-1]])
@@ -145,26 +142,26 @@ def scale_perturbation(model: HamiltonianModel, factor: float) -> HamiltonianMod
     return HamiltonianModel(energies=model.energies, terms=terms)
 
 
-def random_ti_model(rng: np.random.Generator, t: float, dim: int = 4,
-                    n_terms: int = 2, vt_cap: float = 0.5) -> HamiltonianModel:
-    """Random time-independent model rescaled so that ||V|| * t <= vt_cap."""
-    model = random_model(rng, dim=dim, n_terms=n_terms, time_independent=True)
+def random_ti_model(rng: np.random.Generator, t: float,
+                    dim: int = 4) -> HamiltonianModel:
+    """Random time-independent two-term model rescaled so that ||V|| * t <= 0.5."""
+    model = random_model(rng, dim=dim, time_independent=True)
     vnorm = float(np.linalg.norm(eval_V(model, 0.0), 2))
-    if vnorm * t > vt_cap:
-        model = scale_perturbation(model, vt_cap / (vnorm * t))
+    if vnorm * t > 0.5:
+        model = scale_perturbation(model, 0.5 / (vnorm * t))
     return model
 
 
-def suite_ti_vs_expm(seed: int = 0, n_models: int = 3, max_order: int = 20,
-                     tolerance: float = 1e-8) -> SuiteResult:
-    """Time-independent engine at high order vs dense matrix exponential."""
+def suite_ti_vs_expm(seed: int = 0) -> SuiteResult:
+    """Time-independent engine at order 20 vs dense matrix exponential, 3 models."""
     rng = np.random.default_rng(seed)
     worst = 0.0
+    n_models, tolerance = 3, 1e-8
     for _ in range(n_models):
         t = float(rng.uniform(0.1, 0.5))
         model = random_ti_model(rng, t)
         z0 = int(rng.integers(0, model.dimension))
-        via_series = evolve_ti(model, z0, t, max_order)
+        via_series = evolve_ti(model, z0, t, 20)
         via_expm = mat_exp_evolve(model, z0, t)
         worst = max(worst, float(np.abs(via_series.amplitudes
                                         - via_expm.amplitudes).max()))

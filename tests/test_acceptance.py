@@ -62,13 +62,13 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_simplex_equivalence():
     start = time.monotonic()
-    result = suite_identity1(seed=101, real_cases=100, complex_cases=25,
-                             tolerance=1e-8)
+    result = suite_identity1(seed=101)
     elapsed = time.monotonic() - start
     ok = result.passed and elapsed < 60.0
     _report(1, "simplex integral vs kernel", ok,
             f"max |diff| {result.max_error:.3e} over {result.cases} cases "
             f"in {elapsed:.1f}s")
+    assert (result.cases, result.tolerance) == (125, 1e-8)
     assert result.max_error <= 1e-8
     assert elapsed < 60.0
 
@@ -76,9 +76,10 @@ def test_criterion_1_simplex_equivalence():
 # -- 2: shift identity ----------------------------------------------------------
 
 def test_criterion_2_shift_identity():
-    result = suite_identity2(seed=102, cases=200, tolerance=1e-10)
+    result = suite_identity2(seed=102)
     _report(2, "shift identity", result.passed,
             f"max rel err {result.max_error:.3e} over {result.cases} cases")
+    assert (result.cases, result.tolerance) == (200, 1e-10)
     assert result.max_error <= 1e-10
 
 
@@ -322,7 +323,8 @@ def test_criterion_9_time_independent_reduction():
     worst_engine = 0.0
     for _ in range(3):
         t = float(rng.uniform(0.1, 0.5))
-        m = random_ti_model(rng, t, dim=4, n_terms=2)
+        m = random_ti_model(rng, t)
+        assert (m.dimension, len(m.terms)) == (4, 2)
         z0 = int(rng.integers(0, 4))
         series = evolve_ti(m, z0, t, 20)
         dense = mat_exp_evolve(m, z0, t)

@@ -203,6 +203,8 @@ def test_config_error_exit_code(tmp_path):
     missing.write_text("{}", encoding="utf-8")
     assert run(["evolve", "--model", str(missing), "--z0", "0",
                 "--t", "0.1", "--Q", "1"]) == 2
+    assert run(["evolve", "--model", "anharmonic", "--param", "n_max=9.7",
+                "--z0", "0", "--t", "0.1", "--Q", "1"]) == 2
 
 
 def test_usage_error_exit_code():

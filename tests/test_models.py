@@ -231,6 +231,12 @@ def test_config_rejects_empty_terms_and_bad_shapes():
         {"shift_map": 0, "mapping": [0, 1], "factors": [{"lambda": 0, "d": 1}]}]}
     with pytest.raises(ModelError):
         load_model(json.dumps(both))
+    for target in (1.5, True, "1"):
+        # a non-integer target is rejected, not truncated to an index
+        loose = {"dimension": 2, "energies": [0.0, 1.0], "terms": [
+            {"mapping": [target, None], "factors": [{"lambda": 0, "d": 1}]}]}
+        with pytest.raises(ModelError, match=r"terms\[0\]"):
+            load_model(json.dumps(loose))
 
 
 def test_builtin_registry():
@@ -242,3 +248,6 @@ def test_builtin_registry():
         build_named("single_spin", {"bogus": 1.0})
     with pytest.raises(ModelError):
         build_named("anharmonic", {})   # n_max has no default here
+    with pytest.raises(ModelError):
+        build_named("anharmonic", {"n_max": 9.7})
+    assert build_named("anharmonic", {"n_max": 9.0}).dimension == 9

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ddyson import (
-    CapacityError,
     SingleSpinParams,
     StateVector,
     build_single_spin,
@@ -37,10 +36,10 @@ def test_depth_one_closed_form():
 
 def test_zero_rates_give_simplex_volume():
     t = 0.9
-    for q in (1, 2, 3, 4):
+    for q in range(1, 13):
         expected = (-1j * t) ** q / math.factorial(q)
         assert simplex_integral(t, np.zeros(q)) == pytest.approx(expected,
-                                                                 abs=1e-12)
+                                                                 rel=1e-12)
 
 
 def test_depth_three_matches_kernel():
@@ -58,9 +57,17 @@ def test_rate_nodes_are_suffix_sums():
     assert np.allclose(nodes, [7.0, 6.0, 4.0, 0.0])
 
 
-def test_depth_cap():
-    with pytest.raises(CapacityError):
-        simplex_integral(0.5, np.ones(6))
+def test_deep_integrals_match_highprec_recursion():
+    # draws shaped like validate's identity-1 draws, past its depth of 4
+    rng = np.random.default_rng(54)
+    for case in range(40):
+        q = case % 8 + 1
+        g = rng.uniform(-2.0, 2.0, q).astype(complex)
+        if case % 2:
+            g += 1j * rng.uniform(-1.0, 1.0, q)
+        t = float(rng.uniform(0.05, 1.0))
+        expected = oracles.exp_dd_highprec(t, dd_nodes_from_rates(g))
+        assert abs(simplex_integral(t, g) - expected) <= 1e-13 * abs(expected)
 
 
 def test_fixed_rule_is_converged_on_identity1_draws():
