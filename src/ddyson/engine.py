@@ -15,16 +15,17 @@ trajectory) and x_j = y_j - E_final.
 
 ``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
 time, as a readable oracle.  ``evolve_by_order`` evaluates it order by
-order on a frontier of rows.  A row stores the prefix-form nodes
-w_j = E_j + Lam_j, with Lam_j = lam_1 + ... + lam_j, so a child row is its
-parent plus one node.  It is evaluated on y_j = w_j - Lam_q, the suffix
-form above, so a decaying rate (Im lam > 0) keeps every value bounded at
-any t, as it does for ``beta``.  Divided differences are symmetric in
-their nodes, so rows whose (endpoint, Lam_q, sorted w) are bit-identical
-merge by summing their weights, which changes no value.  A step whose
-permutation image leaves the basis, or whose d diagonal vanishes at the
-landing state, is pruned.  Children are visited depth-first in blocks of
-``_BLOCK_ROWS`` rows, so the working set stays bounded at every order.
+order on a frontier of rows, each holding an endpoint z, the sorted
+Schrodinger-picture nodes y and a weight.  A step with rate lam landing
+on z' makes the child y' = sort((y - lam) u {E_z'}): every earlier node
+shifts by the step's rate and the landing energy joins the list.  Divided
+differences are symmetric in their nodes, so rows whose (z, y) are
+bit-identical merge by summing their weights, which changes no value.  A
+step whose permutation image leaves the basis, or whose d diagonal
+vanishes at the landing state, is pruned.  Children are visited
+depth-first in blocks of ``_BLOCK_ROWS`` rows, so the working set stays
+bounded at every order, and the widest rows go first, so a run past the
+budget below reaches it sooner.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
 per call, counted with the kernel's own cost formula
@@ -197,11 +198,10 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
 
 
 class _Rows(NamedTuple):
-    """Frontier rows: endpoint z, prefix rate sum Lam, sorted nodes w, weight."""
+    """Frontier rows: endpoint z, sorted Schrodinger-picture nodes y, weight."""
 
     z: np.ndarray
-    lam: np.ndarray
-    w: np.ndarray
+    y: np.ndarray
     weight: np.ndarray
 
     def take(self, index) -> "_Rows":
@@ -217,8 +217,8 @@ def _step_tables(model: HamiltonianModel):
 
 
 def _merged(rows: _Rows) -> _Rows:
-    """One row per bit-identical (z, Lam, w) key, with the weights summed."""
-    key = np.column_stack([rows.z.astype(complex), rows.lam, rows.w])
+    """One row per bit-identical (z, y) key, with the weights summed."""
+    key = np.column_stack([rows.z.astype(complex), rows.y])
     key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     inverse = inverse.ravel()
@@ -234,9 +234,9 @@ def _children(rows: _Rows, energies: np.ndarray, targets, lam, d) -> _Rows:
     dc = d[np.arange(M)[:, None, None], np.arange(K)[:, None], zc[:, None, :]]
     m, k, r = np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
     z = zc[m, r]
-    lam_q = rows.lam[r] + lam[m, k, z]
-    w = np.sort(np.column_stack([rows.w[r], energies[z] + lam_q]), axis=1)
-    return _merged(_Rows(z, lam_q, w, rows.weight[r] * dc[m, k, r]))
+    y = np.sort(np.column_stack([rows.y[r] - lam[m, k, z][:, None],
+                                 energies[z]]), axis=1)
+    return _merged(_Rows(z, y, rows.weight[r] * dc[m, k, r]))
 
 
 def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
@@ -245,9 +245,9 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
     partial sums over rows give every truncation at once.  Each frontier
-    block is one ``exp_dd_batch`` call: row (z, Lam, w, weight) adds
-    weight * e^{-it[w - Lam]} at z, with the nodes shifted by a further -E_z
-    in the interaction picture.  Deterministic for fixed arguments.  Raises
+    block is one ``exp_dd_batch`` call: row (z, y, weight) adds
+    weight * e^{-it[y]} at z, with the nodes shifted by -E_z in the
+    interaction picture.  Deterministic for fixed arguments.  Raises
     CapacityError once the children built so far would cost the kernel more
     than the work budget.
     """
@@ -262,15 +262,15 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     tables = _step_tables(model)
     D = model.dimension
     out = np.zeros((max_order + 1, D), dtype=complex)
-    root = _Rows(np.array([z0]), np.zeros(1, complex),
-                 np.full((1, 1), energies[z0], complex), np.ones(1, complex))
+    root = _Rows(np.array([z0]), np.full((1, 1), energies[z0], complex),
+                 np.ones(1, complex))
     stack = [(0, root)]
     work = _table_ops(1, 1)
     while stack:
         q, rows = stack.pop()
-        nodes = rows.w - rows.lam[:, None]
+        nodes = rows.y
         if picture == "interaction":
-            nodes -= energies[rows.z][:, None]
+            nodes = nodes - energies[rows.z][:, None]
         values = rows.weight * exp_dd_batch(t, nodes)
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
@@ -278,16 +278,20 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
             kids = _children(rows, energies, *tables)
             if kids.z.size == 0:
                 continue
-            # Lam and E_z shift a row by a constant, so the spread of w sets
-            # the slicing; re + im spread bounds every |w_j - mean| in a row.
-            # w is sorted by real part, and the imaginary extremes are
-            # reduced column by column (a row-wise reduction costs ~7x more)
-            im = kids.w.imag.T
-            spread = (kids.w[:, -1].real - kids.w[:, 0].real
+            # re + im spread bounds every |y_j - mean| in a row (E_z shifts
+            # a row by a constant).  y is sorted by real part, and the
+            # imaginary extremes are reduced column by column (a row-wise
+            # reduction costs ~7x more)
+            im = kids.y.imag.T
+            spread = (kids.y[:, -1].real - kids.y[:, 0].real
                       + reduce(np.maximum, im) - reduce(np.minimum, im))
             work += kids.z.size * _table_ops(q + 2, _slice_count(t, spread))
             if work > _WORK_LIMIT:
                 raise _over_budget(work, q + 1)
+            # widest first, by slicing class (all t * spread < 2 are one), so
+            # a run past the budget reaches it sooner
+            kids = kids.take(np.argsort(-np.frexp(t * spread)[1].clip(1),
+                                        kind="stable"))
             starts = range(0, kids.z.size, _BLOCK_ROWS)
             stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)))
                          for s in reversed(starts))
@@ -317,12 +321,7 @@ def amplitude_by_order(model: HamiltonianModel, z_in: int, z_fin: int,
 
 
 def evolve_ti(model: HamiltonianModel, z0: int, t, max_order: int) -> StateVector:
-    """``evolve`` restricted to time-independent models (K = 1, all lam = 0).
-
-    There Lam = 0 and the nodes are the trajectory energies, so frontier
-    rows merge on (endpoint, energy multiset): one kernel row per distinct
-    multiset instead of one per path, which keeps high orders tractable.
-    """
+    """``evolve`` restricted to time-independent models (K = 1, all lam = 0)."""
     if not is_time_independent(model):
         raise ModelError(
             "evolve_ti requires a time-independent model (K = 1, all lam = 0)")

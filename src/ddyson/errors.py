@@ -15,8 +15,9 @@ class DegenerateNodesError(ValueError):
 
 class CapacityError(RuntimeError):
     """Requested work exceeds a fixed budget: kernel table operations for
-    the expansion engine and path enumeration, depth or precision for the
-    oracles."""
+    the expansion engine and path enumeration, the basis size (2^16 Fock
+    states) of the anharmonic model, precision for the extended-precision
+    oracle."""
 
 
 class StiffnessError(RuntimeError):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import CapacityError, ModelError
 from .divdiff import exp_dd
 from .hamiltonian import (
     ExpSumFactor,
@@ -50,6 +50,12 @@ class SingleSpinParams:
             raise ModelError("decay rate gamma must be >= 0")
 
 
+# Largest truncation ``build_anharmonic`` accepts (~0.3 s to build on 2
+# cores); its Python loop over states and its ten D-long diagonals would
+# take minutes and gigabytes at D = 1e8, before the engine starts.
+_MAX_ANHARMONIC_STATES = 2 ** 16
+
+
 @dataclass(frozen=True)
 class AnharmonicParams:
     omega: float
@@ -66,6 +72,10 @@ class AnharmonicParams:
         if not float(self.n_max).is_integer() or self.n_max < 5:
             raise ModelError("anharmonic truncation needs an integer n_max >= 5 "
                              f"(the +4 ladder term needs headroom), got {self.n_max}")
+        if self.n_max > _MAX_ANHARMONIC_STATES:
+            raise CapacityError(
+                f"anharmonic truncation n_max = {self.n_max:.0f} is past the cap "
+                f"of {_MAX_ANHARMONIC_STATES} Fock states")
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ import csv
 import json
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ddyson
 from ddyson import (
     SingleSpinParams,
     build_single_spin,
@@ -194,6 +197,13 @@ def test_validate_rejects_corrupt_model(tmp_path):
 def test_capacity_exit_code():
     assert run(["evolve", "--model", "anharmonic", "--param", "n_max=9",
                 "--z0", "4", "--t", "0.1", "--Q", "80"]) == 3
+    # a truncation past 2^16 states, given or implied by z0, fails before
+    # anything is allocated
+    for argv in (["--param", "n_max=1e8", "--z0", "0"], ["--z0", "100000000"]):
+        start = time.perf_counter()
+        assert run(["evolve", "--model", "anharmonic", *argv,
+                    "--t", "0.1", "--Q", "1"]) == 3
+        assert time.perf_counter() - start < 1.0
 
 
 def test_config_error_exit_code(tmp_path):
@@ -225,9 +235,12 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
 
 
 def test_console_entry_point_runs():
+    # run from the directory holding the package, so the child process finds
+    # the one under test without an installed copy or PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "ddyson", "evolve", "--model", "single_spin",
          "--z0", "0", "--t", "0.3", "--Q", "2"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        cwd=Path(ddyson.__file__).parents[1])
     assert proc.returncode == 0
     assert proc.stdout.startswith("t,z,re,im,prob")

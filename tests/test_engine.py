@@ -288,7 +288,9 @@ def per_path_orders(model, z0, t, max_order, picture):
 
 def test_merged_rows_match_per_path_oracle(monkeypatch):
     # degenerate energies, integer rates and two commuting ring shifts make
-    # many paths share (endpoint, Lam, node multiset), so rows merge
+    # many paths share (endpoint, node multiset), so rows merge; with every
+    # energy and rate an integer, equal node multisets are bit-identical, so
+    # the kernel gets exactly one row per distinct (order, endpoint, nodes)
     dim = 4
     factors = (ExpSumFactor(lam=np.full(dim, 1.0), d=np.full(dim, 0.3)),
                ExpSumFactor(lam=np.full(dim, -1.0), d=np.full(dim, 0.2j)))
@@ -296,6 +298,9 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
                                   factors=factors) for s in (1, -1))
     m = HamiltonianModel(energies=np.array([0.0, 1.0, 0.0, 1.0]), terms=terms)
     t, Q = 0.7, 5
+    keys = {(p.order, p.trajectory[-1], tuple(np.sort(y_inputs(m, p))))
+            for p in enumerate_paths(m, 0, Q)}
+    assert len(keys) == 91
     rows = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
@@ -305,6 +310,7 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
         got = evolve_by_order(m, 0, t, Q, picture)
         want = per_path_orders(m, 0, t, Q, picture)
         assert np.abs(got - want).max() <= 1e-12
+        assert sum(rows) == len(keys)
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
 
 
@@ -350,9 +356,9 @@ def test_engine_kernel_calls_stay_within_work_budget(monkeypatch):
 
 
 def test_decaying_drive_stays_bounded_at_long_times():
-    # lam = i*gamma: the prefix sums Lam reach i*q*gamma, so e^{it Lam} and
-    # e^{-it[w]} alone over- and underflow once t*q*gamma passes ~709; the
-    # coefficients themselves are O(1)
+    # lam = i*gamma: node y_j has imaginary part -(q - j)*gamma, so every
+    # e^{-it y_j} decays, where e^{t q gamma} would overflow once t*q*gamma
+    # passes ~709; the coefficients themselves are O(1)
     m = build_single_spin(SPIN)
     t, Q = 1000.0, 5
     for picture in PICTURES:

@@ -9,6 +9,7 @@ import pytest
 
 from ddyson import (
     AnharmonicParams,
+    CapacityError,
     ModelError,
     SingleSpinParams,
     anharmonic_default_dimension,
@@ -62,6 +63,9 @@ def test_anharmonic_needs_headroom():
     with pytest.raises(ModelError):
         build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
                                           gamma_eff=0.02, n_max=4))
+    # past 2^16 Fock states the truncation is refused before it is built
+    with pytest.raises(CapacityError):
+        AnharmonicParams(omega=1.0, Omega=2.0, gamma_eff=0.02, n_max=2 ** 16 + 1)
 
 
 def test_default_dimension_rule():
