@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from pathlib import Path as FsPath
 
@@ -40,18 +41,20 @@ PROB_FLAG_LIMIT = 1.0 + 1e-6
 
 def _parse_time_grid(text: str) -> list[float]:
     """'0.5' -> [0.5]; '0:0.08:9' -> 9 evenly spaced points, strictly increasing."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise argparse.ArgumentTypeError(
-                "time grid must be 'start:stop:steps'")
-        start, stop = float(parts[0]), float(parts[1])
-        steps = int(parts[2])
-        if steps < 2 or not stop > start:
-            raise argparse.ArgumentTypeError(
-                "time grid needs steps >= 2 and stop > start")
-        return [float(v) for v in np.linspace(start, stop, steps)]
-    return [float(text)]
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise argparse.ArgumentTypeError("time grid must be 'start:stop:steps'")
+    ends = [float(v) for v in parts[:2]]
+    # a non-finite start, stop or span gives a nan or inf difference
+    if not math.isfinite(ends[-1] - ends[0]):
+        raise argparse.ArgumentTypeError(f"times must be finite, got '{text}'")
+    if len(parts) == 1:
+        return ends
+    steps = int(parts[2])
+    if steps < 2 or not ends[1] > ends[0]:
+        raise argparse.ArgumentTypeError(
+            "time grid needs steps >= 2 and stop > start")
+    return [float(v) for v in np.linspace(*ends, steps)]
 
 
 def _parse_order_list(text: str) -> list[int]:

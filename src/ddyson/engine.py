@@ -24,34 +24,32 @@ bit-identical merge by summing their weights, which changes no value.  A
 step whose permutation image leaves the basis, or whose d diagonal
 vanishes at the landing state, is pruned.  Children are visited
 depth-first in blocks of ``_BLOCK_ROWS`` rows, so the working set stays
-bounded at every order, and the widest rows go first, so a run past the
-budget below reaches it sooner.
+bounded at every order.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
-per call, counted with the kernel's own cost formula
-(``divdiff._table_ops``).  ``evolve_by_order`` adds the cost of each
-block's children when it builds them, and ``enumerate_paths`` the
-one-slice cost of each path it yields; either raises ``CapacityError``
-before the kernel runs rows past the budget.
+per call.  ``evolve_by_order`` adds each child's cost at the kernel's own
+slice count (``divdiff._slice_exponents``, ``_table_ops``) when it builds
+it, and ``enumerate_paths`` the one-slice cost of each path it yields;
+either raises ``CapacityError`` before the kernel runs past the budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import _check_time, _slice_count, _table_ops, exp_dd, exp_dd_batch
+from .divdiff import (_check_time, _slice_exponents, _table_ops, exp_dd,
+                      exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
 # Kernel table operations one call may spend.  The oscillator (z0 = 4,
-# t = 0.06) passes at Q = 7 (7e8 operations, ~3 s on 2 cores); inputs past
-# the budget raise within ~2 s.
-_WORK_LIMIT = 2 ** 30
+# t = 0.06) passes at Q = 7 (2.2e8 operations, ~2 s on 2 cores); inputs past
+# the budget raise within ~1 s.
+_WORK_LIMIT = 2 ** 28
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
 PICTURES = ("schrodinger", "interaction")
@@ -278,20 +276,13 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
             kids = _children(rows, energies, *tables)
             if kids.z.size == 0:
                 continue
-            # re + im spread bounds every |y_j - mean| in a row (E_z shifts
-            # a row by a constant).  y is sorted by real part, and the
-            # imaginary extremes are reduced column by column (a row-wise
-            # reduction costs ~7x more)
-            im = kids.y.imag.T
-            spread = (kids.y[:, -1].real - kids.y[:, 0].real
-                      + reduce(np.maximum, im) - reduce(np.minimum, im))
-            work += kids.z.size * _table_ops(q + 2, _slice_count(t, spread))
+            # each row's kernel cost at its own slice count (E_z shifts a
+            # row by a constant, which the slicing does not see)
+            rows_by_exponent = np.bincount(_slice_exponents(t, kids.y))
+            work += sum(int(c) * _table_ops(q + 2, 1 << m)
+                        for m, c in enumerate(rows_by_exponent))
             if work > _WORK_LIMIT:
                 raise _over_budget(work, q + 1)
-            # widest first, by slicing class (all t * spread < 2 are one), so
-            # a run past the budget reaches it sooner
-            kids = kids.take(np.argsort(-np.frexp(t * spread)[1].clip(1),
-                                        kind="stable"))
             starts = range(0, kids.z.size, _BLOCK_ROWS)
             stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)))
                          for s in reversed(starts))

@@ -101,6 +101,8 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     _check_dense(model)
     _check_index(model, z0)
     t = _check_time(t)
+    if not 0.0 < float(tol) < np.inf:
+        raise ValueError("tol must be finite and > 0")
 
     psi0 = np.zeros(model.dimension, dtype=complex)
     psi0[z0] = 1.0
@@ -172,6 +174,7 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
     """
     import mpmath as mp
 
+    t = _check_time(t)
     x = as_nodes(inputs)
     if np.unique(x).size != x.size:
         raise DegenerateNodesError(
@@ -179,7 +182,7 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
 
     def recursion(dps):
         with mp.workdps(dps):
-            tt = mp.mpf(float(t))
+            tt = mp.mpf(t)
             xs = [mp.mpc(complex(v)) for v in x]
             col = [mp.exp(-1j * tt * z) for z in xs]
             for span in range(1, len(xs)):
@@ -187,7 +190,7 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
                        for i in range(len(col) - 1)]
             return col[0]
 
-    if float(t) == 0.0:
+    if t == 0.0:
         return complex(x.size == 1)
     coarse = recursion(digits)
     while digits < _HIGHPREC_MAX_DIGITS:

@@ -223,6 +223,15 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["inf", "nan", "0:inf:3", "-inf:0:3",
+                                  "0:nan:3", "-1e308:1e308:3"])
+def test_nonfinite_times_are_usage_errors(grid):
+    # checked before the grid is built, so np.linspace warns about nothing
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", *SPIN_ARGS, "--z0", "0", "--t", grid, "--Q", "1"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0.5", "--Q", "3",
      "--seed", "1"],

@@ -15,6 +15,7 @@ from ddyson import (
     exp_dd_stats,
     shift_inputs,
 )
+from ddyson import divdiff
 from ddyson.oracles import exp_dd_highprec
 
 # t = 0.3 over [1.7, -0.4, 0.9, 0.0], frozen from the 60-digit recursion
@@ -191,6 +192,29 @@ def test_batch_matches_scalar_calls():
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
 
+def test_batch_slices_each_row_at_its_own_count(monkeypatch):
+    # one wide row (16 slices, the squaring route) among 199 narrow ones
+    # (one slice each)
+    rng = np.random.default_rng(18)
+    rows = rng.uniform(-0.5, 0.5, (200, 6)) + 1j * rng.uniform(-0.1, 0.1, (200, 6))
+    rows[57] *= 40.0
+    t = 1.0
+    ran = []
+    core = divdiff._exp_dd_core
+
+    def recorded(*args):
+        values, stats = core(*args)
+        ran.append(len(args[1]) * stats.table_ops)
+        return values, stats
+
+    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    values = exp_dd_batch(t, rows)
+    kernel_work = sum(ran)
+    assert kernel_work == sum(exp_dd_stats(t, row)[1].table_ops for row in rows)
+    for row, value in zip(rows, values):
+        assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
+
+
 def test_stats_reports_power_of_two_slices():
     _, stats = exp_dd_stats(1.0, np.linspace(-50, 50, 21))
     assert stats.n_slices & (stats.n_slices - 1) == 0
@@ -212,6 +236,12 @@ def test_matches_highprec_oracle_mixed_nodes():
 def test_highprec_rejects_duplicates():
     with pytest.raises(DegenerateNodesError):
         exp_dd_highprec(0.5, [1.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_highprec_rejects_nonfinite_time(t):
+    with pytest.raises(ValueError, match="time must be finite"):
+        exp_dd_highprec(t, [1.0, 2.0])
 
 
 # -- argument validation -----------------------------------------------------

@@ -411,21 +411,26 @@ def oscillator(z0, Q):
     (oscillator(4, 5), 4, 0.06, 5),
     # t * spread ~ 3e3: every order past 0 takes the squaring route
     (build_single_spin(SPIN), 0, 1000.0, 5),
-], ids=["oscillator", "decaying-spin"])
+    # rows of one order need 1 to 8 slices
+    (cosine_drive(), 0, 0.5, 12),
+], ids=["oscillator", "decaying-spin", "cosine-drive"])
 def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
     ran = []
     core = divdiff._exp_dd_core
 
-    def recorded(t, x):
-        values, stats = core(t, x)
+    def recorded(t, x, n_slices):
+        values, stats = core(t, x, n_slices)
         ran.append(len(x) * stats.table_ops)
         return values, stats
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
     evolve_by_order(model, z0, t, Q)
     kernel_work = sum(ran)
-    # a budget one below the kernel's work must be passed by the count, and
-    # before the kernel has run past it
+    # the count equals the kernel's work: a budget of exactly that admits
+    # the run, and a budget one below it is passed before the kernel has
+    # run past it
+    monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work)
+    evolve_by_order(model, z0, t, Q)
     monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work - 1)
     ran.clear()
     with pytest.raises(CapacityError):
@@ -433,8 +438,18 @@ def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
     assert sum(ran) <= kernel_work - 1
 
 
+def test_work_budget_calibration(monkeypatch):
+    # the budget's documented calibration, with the kernel stubbed out so
+    # only the frontier and the count run
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: np.zeros(len(nodes), complex))
+    evolve_by_order(oscillator(4, 7), 4, 0.06, 7)
+    with pytest.raises(CapacityError):
+        evolve_by_order(cosine_drive(), 0, 0.5, 20)
+
+
 def test_work_budget_admits_oscillator_order_six():
-    # ~7e7 table operations, well inside the budget
+    # ~2.3e7 table operations, well inside the budget
     orders = evolve_by_order(oscillator(4, 6), 4, 0.06, 6)
     assert np.isfinite(orders).all()
     assert np.abs(orders[6]).max() > 0

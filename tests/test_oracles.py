@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,16 @@ def test_norm_preserved_for_hermitian_drive():
     tol = 1e-10
     st = ode_evolve(m, 0, 2.0, tol=tol)
     assert abs(st.norm() - 1.0) <= 10 * tol
+
+
+@pytest.mark.parametrize("tol", [0.0, np.nan, np.inf, -1e-10])
+def test_ode_rejects_bad_tolerance(tol):
+    # each raises before any integration step
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        ode_evolve(build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2)),
+                   0, 0.5, tol=tol)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dimension_cap(free_model):
