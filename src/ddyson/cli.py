@@ -33,6 +33,8 @@ from .oracles import infidelity, ode_evolve
 from .validate import run_suites
 
 PROB_FLAG_LIMIT = 1.0 + 1e-6
+# Most points a time grid may ask for; every point is one engine run.
+_MAX_TIME_STEPS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -51,9 +53,9 @@ def _parse_time_grid(text: str) -> list[float]:
     if len(parts) == 1:
         return ends
     steps = int(parts[2])
-    if steps < 2 or not ends[1] > ends[0]:
+    if not 2 <= steps <= _MAX_TIME_STEPS or not ends[1] > ends[0]:
         raise argparse.ArgumentTypeError(
-            "time grid needs steps >= 2 and stop > start")
+            f"time grid needs 2 <= steps <= {_MAX_TIME_STEPS} and stop > start")
     return [float(v) for v in np.linspace(*ends, steps)]
 
 

@@ -12,8 +12,11 @@ Each row is shifted to its centroid mu and the time is split into s = 2^m
 slices with |tau (x_j - mu)| <= 1.  One slice is the Taylor polynomial of
 degree n + 17 (n = q + 1 nodes), fixed in advance: its tail is below 1e-16
 relative to every entry.  Only the top row is carried, so a Taylor term is
-an O(n) vector update of a (B, n) batch.  Up to s = n slices the row is
-pushed through the same update once per slice; past that the full slice
+an O(n) vector update.  A row of one slice needs only the last entry of
+its top row, which reads no entry of term k below k - 18; its nodes are
+held node-major, as an (n, B) batch, and each term updates only that band
+of at most 19 contiguous node rows.  Up to s = n slices a (B, n) row is
+pushed through the full update once per slice; past that the full slice
 table (O(n^2) per term) is built once and squared m times, so long times
 cost O(log s) table products instead of s slices.  Chained tables hold
 divided differences over runs of consecutive nodes, so before chaining
@@ -36,9 +39,10 @@ from .errors import DegenerateNodesError
 # Largest |tau * (x_j - mu)| one slice may cover.
 _SLICE_CAP = 1.0
 # Work budget of one kernel call: its largest array holds at most this many
-# complex elements, B * n on the vector route and B * n^2 on the squaring
-# route.  ``exp_dd_batch`` splits larger batches into row chunks under it
-# (one row per chunk once n, or n^2, alone exceeds it).
+# complex elements, B * (n + 1) on the vector routes (the one-slice buffers
+# carry a zero pad row) and B * n^2 on the squaring route.  ``exp_dd_batch``
+# splits larger batches into row chunks under it (one row per chunk once
+# n + 1, or n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
 
 
@@ -73,11 +77,14 @@ def _check_time(t) -> float:
     return t
 
 
-def _centered(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # reduced column by column (here and below): numpy reduces each short
-    # row 2-3x more slowly than it combines long columns
-    mu = reduce(np.add, x.T) / x.shape[1]
-    return mu, x - mu[:, None]
+def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means mu and centred nodes of a node-major (n, B) batch.
+
+    Reduced node by node (here and below): numpy reduces each short row
+    of a (B, n) batch 2-3x more slowly than it combines long node rows.
+    """
+    mu = reduce(np.add, xt) / len(xt)
+    return mu, xt - mu
 
 
 def _slice_exponents(t: float, x: np.ndarray) -> np.ndarray:
@@ -85,7 +92,7 @@ def _slice_exponents(t: float, x: np.ndarray) -> np.ndarray:
     the smallest power of two with |t (x_j - mu)| / s <= _SLICE_CAP, where
     mu is the row's mean."""
     with np.errstate(over="ignore", invalid="ignore"):
-        amax = reduce(np.maximum, np.abs(t * _centered(x)[1]).T)
+        amax = reduce(np.maximum, np.abs(t * _centered(x.T)[1]))
     if not np.isfinite(amax).all():
         raise ValueError("time times node spread overflows")
     mant, exp = np.frexp(amax / _SLICE_CAP)
@@ -110,12 +117,16 @@ def _squares(n_slices: int, n: int) -> bool:
 def _table_ops(n: int, n_slices: int) -> int:
     """Table operations ``_exp_dd_core`` spends on one row of n nodes.
 
-    Degree n + 17 Taylor terms of 2n operations per slice on the vector
-    route; on the squaring route, the terms of one n x n table and
-    log2(n_slices) products of n^3.  A single node is one exponential.
+    Two operations per entry a Taylor term updates.  One slice updates only
+    the ``_taylor_band`` of each of its n + 17 terms, 19n - 1 entries in
+    all.  Chained slices update all n entries of every term; the squaring
+    route builds one n x n table the same way, then takes log2(n_slices)
+    products of n^3.  A single node is one exponential.
     """
     if n == 1:
         return 1
+    if n_slices == 1:
+        return 2 * (19 * n - 1)
     degree = n + 17
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
@@ -161,37 +172,95 @@ def _taylor(r: np.ndarray, bd: np.ndarray, bs: complex, degree: int) -> np.ndarr
     return acc
 
 
+@lru_cache(maxsize=None)
+def _taylor_band(n: int) -> tuple:
+    """The band of each Taylor term k = 1 .. n + 17 of a one-slice row
+    whose last entry alone is read: (1/k, the buffer rows the term writes,
+    the node rows it reads (in a buffer, the previous term's entries one
+    below), whether it reaches the last entry).
+
+    Term k is zero past entry k, and its entry j reaches the last entry
+    only through n - 1 - j more terms, so entries with k - j > 18 are never
+    read (degree n + 17).  Term k spans entries max(0, k - 18) ..
+    min(k, n - 1), at most 19.  Buffer row j + 1 holds entry j; row 0 is a
+    zero pad, so the shifted add needs no special first entry.
+    """
+    steps = []
+    for k in range(1, n + 18):
+        lo, hi = max(0, k - 18), min(k, n - 1) + 1
+        # a 0-d array operand costs numpy less than a Python scalar
+        inv_k = np.array(1.0 / k, dtype=complex)
+        inv_k.setflags(write=False)
+        steps.append((inv_k, slice(lo + 1, hi + 1), slice(lo, hi), hi == n))
+    return tuple(steps)
+
+
+def _taylor_last(bd: np.ndarray, bs: complex) -> np.ndarray:
+    """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
+    (n, B) with n >= 2, by its Taylor polynomial of degree n + 17.
+
+    Each term updates only its ``_taylor_band``, with the operations of
+    ``_taylor`` on (B, n) rows started from e_0, in the same order, so the
+    last entry is bit for bit the same.  Only that entry is summed.
+    """
+    n, B = bd.shape
+    bs = np.array(bs)  # 0-d, as each 1/k of the band
+    term = np.zeros((n + 1, B), dtype=bd.dtype)
+    term[1] = 1.0
+    # entries above a term's band are read as zeros, so this buffer is
+    # zeroed too, not just allocated
+    nxt = np.zeros_like(term)
+    tail, tail_nxt = term[n], nxt[n]
+    last = np.zeros(B, dtype=bd.dtype)
+    for inv_k, rows, nodes, at_last in _taylor_band(n):
+        out = nxt[rows]
+        np.multiply(term[rows], bd[nodes], out)
+        out += bs * term[nodes]
+        out *= inv_k
+        term, nxt = nxt, term
+        tail, tail_nxt = tail_nxt, tail
+        if at_last:
+            last += tail
+    return last
+
+
 def _exp_dd_core(t: float, x: np.ndarray,
                  n_slices: int) -> tuple[np.ndarray, DdEvalStats]:
     """e^{-i t [x_b0, ..., x_b(n-1)]} for each row b of a (B, n) node batch.
 
     Returns (values, stats).  Every row is cut into ``n_slices`` slices,
-    its own count from ``_slice_exponents``, so none is over-resolved.
+    its own count from ``_slice_exponents``, so none is over-resolved.  One
+    slice runs node-major through ``_taylor_last``, 2 (19n - 1) table
+    operations per row; chained slices and the squaring route carry (B, n)
+    rows or (B, n, n) tables through ``_taylor`` (see ``_table_ops``).
     """
     B, n = x.shape
+    stats = DdEvalStats(n_slices=n_slices, table_ops=_table_ops(n, n_slices))
     if n == 1:
-        values = np.exp(-1j * t * x[:, 0])
-        return values, DdEvalStats(n_slices=1, table_ops=_table_ops(1, 1))
+        return np.exp(-1j * t * x[:, 0]), stats
 
-    squares = _squares(n_slices, n)
-    mu, delta = _centered(x)
-    if n_slices > 1:
-        # one slice is accurate in any node order; chaining is not
-        x = np.take_along_axis(x, _spread_order(delta), axis=1)
-        if squares:
-            # the products of a squaring cancel more than a row update does;
-            # extended precision (where the platform has it) absorbs that
-            x = x.astype(np.clongdouble)
-        mu, delta = _centered(x)
     # exp(-it Z) = e^{-it mu} exp(-it (Z - mu)); one slice is
     # e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu), bs = -i tau.
-    tau = t / n_slices
-    bd = -1j * tau * delta
-    bs = -1j * tau
-    phase = np.exp(-1j * tau * mu)[:, None]
-    # with |bd| <= 1, Taylor term k adds at most tau^j / (j! (k - j)!) to
+    # With |bd| <= 1, Taylor term k adds at most tau^j / (j! (k - j)!) to
     # entry j, whose value is at least ~0.2 tau^j / j!; degree n + 17 so
     # leaves a tail below 5 / 19! ~ 4e-17 relative to each entry.
+    if n_slices == 1:
+        mu, delta = _centered(np.ascontiguousarray(x.T))
+        values = _taylor_last(-1j * t * delta, -1j * t) * np.exp(-1j * t * mu)
+        return values, stats
+
+    # one slice is accurate in any node order; chaining is not
+    x = np.take_along_axis(x, _spread_order(_centered(x.T)[1].T), axis=1)
+    squares = _squares(n_slices, n)
+    if squares:
+        # the products of a squaring cancel more than a row update does;
+        # extended precision (where the platform has it) absorbs that
+        x = x.astype(np.clongdouble)
+    mu, delta = _centered(x.T)
+    tau = t / n_slices
+    bd = -1j * tau * delta.T
+    bs = -1j * tau
+    phase = np.exp(-1j * tau * mu)[:, None]
     degree = n + 17
 
     if not squares:
@@ -206,7 +275,6 @@ def _exp_dd_core(t: float, x: np.ndarray,
             table = table @ table
         rows = table[:, 0, :]
 
-    stats = DdEvalStats(n_slices=n_slices, table_ops=_table_ops(n, n_slices))
     return rows[:, -1].astype(complex), stats
 
 
@@ -243,7 +311,7 @@ def exp_dd_batch(t, node_rows) -> np.ndarray:
     for m in np.flatnonzero(np.bincount(exponents)):
         n_slices = 1 << int(m)
         rows = np.flatnonzero(exponents == m)
-        step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n))
+        step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))
         for chunk in np.split(rows, range(step, rows.size, step)):
             out[chunk] = _exp_dd_core(t, x[chunk], n_slices)[0]
     return out

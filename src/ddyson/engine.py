@@ -46,10 +46,11 @@ from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
-# Kernel table operations one call may spend.  The oscillator (z0 = 4,
-# t = 0.06) passes at Q = 7 (2.2e8 operations, ~2 s on 2 cores); inputs past
-# the budget raise within ~1 s.
-_WORK_LIMIT = 2 ** 28
+# Kernel table operations one call may spend, ~2.0e8.  The oscillator
+# (z0 = 4, t = 0.06) passes at Q = 7 (1.67e8 operations at the banded
+# one-slice count, ~1.3 s on 2 cores); inputs past the budget raise within
+# ~1 s.
+_WORK_LIMIT = 3 * 2 ** 26
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
 PICTURES = ("schrodinger", "interaction")

@@ -170,7 +170,7 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
     no reference at high order or small t * spread.  Starting at ``digits``,
     the working precision doubles until two successive evaluations agree to
     1e-24 relative; the finer one is returned.  Raises ``CapacityError``
-    past 4000 digits.
+    if they still disagree at 4000 digits; no recursion runs past that.
     """
     import mpmath as mp
 
@@ -192,9 +192,10 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
 
     if t == 0.0:
         return complex(x.size == 1)
+    digits = min(digits, _HIGHPREC_MAX_DIGITS)
     coarse = recursion(digits)
     while digits < _HIGHPREC_MAX_DIGITS:
-        digits *= 2
+        digits = min(2 * digits, _HIGHPREC_MAX_DIGITS)
         fine = recursion(digits)
         # too few digits can give an exact 0 at both precisions
         with mp.workdps(digits):
@@ -202,4 +203,4 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
                 return complex(fine)
         coarse = fine
     raise CapacityError(
-        f"extended-precision recursion did not settle below {digits} digits")
+        f"extended-precision recursion did not settle by {digits} digits")

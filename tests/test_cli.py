@@ -232,6 +232,16 @@ def test_nonfinite_times_are_usage_errors(grid):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("grid", ["0:1:10001", "0:1:1000000000000000"])
+def test_time_grid_step_count_is_capped(grid):
+    # rejected before any grid is built, however many steps are asked for
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run(["evolve", *SPIN_ARGS, "--z0", "0", "--t", grid, "--Q", "1"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0.5", "--Q", "3",
      "--seed", "1"],

@@ -215,6 +215,32 @@ def test_batch_slices_each_row_at_its_own_count(monkeypatch):
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
 
+def _full_row_last(t, x):
+    # every Taylor term updates all n entries of (B, n) rows started from
+    # e_0, and the whole top row is summed; the result is its last entry
+    mu, delta = divdiff._centered(x.T)
+    rows = np.zeros(x.shape, complex)
+    rows[:, 0] = 1.0
+    acc = divdiff._taylor(rows, -1j * t * delta.T, -1j * t, x.shape[1] + 17)
+    return acc[:, -1] * np.exp(-1j * t * mu)
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
+def test_one_slice_band_matches_full_row_update(decay):
+    # t * spread close to the slice cap, so the deepest band entries still
+    # reach the last bits of the result
+    rng = np.random.default_rng(19)
+    for n in range(1, 41):
+        x = rng.uniform(-1.0, 1.0, (33, n)) - 1j * decay * rng.uniform(0.0, 1.0, (33, n))
+        t = 0.999 / np.abs(x - x.mean(axis=1, keepdims=True)).max() if n > 1 else 0.7
+        assert (divdiff._slice_exponents(t, x) == 0).all()
+        values, stats = divdiff._exp_dd_core(t, x, 1)
+        np.testing.assert_array_equal(values, _full_row_last(t, x))
+        # the counted work is two operations per entry of each term's band
+        assert stats.table_ops == (1 if n == 1 else 2 * sum(
+            rows.stop - rows.start for _, rows, _, _ in divdiff._taylor_band(n)))
+
+
 def test_stats_reports_power_of_two_slices():
     _, stats = exp_dd_stats(1.0, np.linspace(-50, 50, 21))
     assert stats.n_slices & (stats.n_slices - 1) == 0

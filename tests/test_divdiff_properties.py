@@ -4,6 +4,7 @@ nodes, the confluent limit, long times, and the self-checking oracle."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from scipy.linalg import expm
 
 from ddyson import (CapacityError, SingleSpinParams, build_single_spin, eval_H, evolve_ti,
                     exp_dd, exp_dd_stats)
+from ddyson import oracles
 from ddyson.oracles import exp_dd_highprec
 
 
@@ -111,3 +113,13 @@ def test_oracle_gives_up_with_a_typed_error():
     with pytest.raises(CapacityError):
         exp_dd_highprec(1e-200, np.arange(21) * 1e-200)
     assert exp_dd_highprec(0.0, [1.0, 2.0]) == 0.0
+
+
+def test_oracle_stays_within_its_digit_cap(monkeypatch):
+    tried = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(mpmath, "workdps", lambda dps: tried.append(dps) or workdps(dps))
+    monkeypatch.setattr(oracles, "_HIGHPREC_MAX_DIGITS", 100)
+    with pytest.raises(CapacityError, match="by 100 digits"):
+        exp_dd_highprec(1e-200, np.arange(21) * 1e-200)
+    assert max(tried) == 100

@@ -315,16 +315,22 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
 
 
 def _record_kernel_arrays(monkeypatch):
-    # the kernel's largest arrays are the operands of its Taylor loop:
-    # (B, n) rows on the vector route, (B, n, n) tables on the squaring route
+    # the kernel's largest arrays are those of its Taylor loops: (n + 1, B)
+    # buffers on the one-slice route (node-major, one zero pad row), (B, n)
+    # rows on the chained route, (B, n, n) tables on the squaring route
     shapes = []
-    taylor = divdiff._taylor
+    taylor, taylor_last = divdiff._taylor, divdiff._taylor_last
 
     def recorded(r, *args):
         shapes.append(r.shape)
         return taylor(r, *args)
 
+    def recorded_last(bd, bs):
+        shapes.append((bd.shape[0] + 1, bd.shape[1]))
+        return taylor_last(bd, bs)
+
     monkeypatch.setattr(divdiff, "_taylor", recorded)
+    monkeypatch.setattr(divdiff, "_taylor_last", recorded_last)
     return shapes
 
 
@@ -449,7 +455,7 @@ def test_work_budget_calibration(monkeypatch):
 
 
 def test_work_budget_admits_oscillator_order_six():
-    # ~2.3e7 table operations, well inside the budget
+    # ~1.8e7 table operations, well inside the budget
     orders = evolve_by_order(oscillator(4, 6), 4, 0.06, 6)
     assert np.isfinite(orders).all()
     assert np.abs(orders[6]).max() > 0
