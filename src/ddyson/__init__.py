@@ -26,6 +26,7 @@ from .engine import (
     evolve,
     evolve_by_order,
     evolve_ti,
+    path_coefficients,
     transition_amplitude,
     x_inputs,
     y_inputs,

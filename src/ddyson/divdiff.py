@@ -23,6 +23,10 @@ divided differences over runs of consecutive nodes, so before chaining
 the nodes are reordered to keep every run spread out, and the squaring
 runs in extended precision.
 
+``exp_dd_batch`` evaluates many rows at one time or at one time per row.
+The relative error grows as t * spread * eps, so a row past 2^52 slices,
+where no digit would be significant, raises ValueError.
+
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
 """
@@ -38,6 +42,12 @@ from .errors import DegenerateNodesError
 
 # Largest |tau * (x_j - mu)| one slice may cover.
 _SLICE_CAP = 1.0
+# Most slices a row may need, 2^52, so t * spread stays below ~2^53.  The
+# result's relative error grows as t * spread * eps (against
+# ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
+# 1e8, 9e-5 at 1e13, 1.5e-2 at 1e16), and past 1 / eps = 2^52 no digit of
+# it is significant.
+_MAX_SLICE_EXPONENT = 52
 # Work budget of one kernel call: its largest array holds at most this many
 # complex elements, B * (n + 1) on the vector routes (the one-slice buffers
 # carry a zero pad row) and B * n^2 on the squaring route.  ``exp_dd_batch``
@@ -87,14 +97,22 @@ def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, xt - mu
 
 
-def _slice_exponents(t: float, x: np.ndarray) -> np.ndarray:
+def _slice_exponents(t, x: np.ndarray) -> np.ndarray:
     """Per row of a (B, n) node batch, the m of its slice count s = 2^m:
     the smallest power of two with |t (x_j - mu)| / s <= _SLICE_CAP, where
-    mu is the row's mean."""
+    mu is the row's mean.  ``t`` is one time, or one per row.
+
+    Raises ValueError past m = ``_MAX_SLICE_EXPONENT`` (or where t times
+    the spread overflows): no digit of the result would be significant.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         amax = reduce(np.maximum, np.abs(t * _centered(x.T)[1]))
-    if not np.isfinite(amax).all():
-        raise ValueError("time times node spread overflows")
+        # nan and inf fail this test too
+        if not (amax <= _SLICE_CAP * 2.0 ** _MAX_SLICE_EXPONENT).all():
+            raise ValueError(
+                f"time times node distance from the mean, {np.max(amax):.3g}, "
+                f"is past the kernel's range 2^{_MAX_SLICE_EXPONENT}: no digit "
+                "of the divided difference would be significant")
     mant, exp = np.frexp(amax / _SLICE_CAP)
     return np.maximum(0, exp - (mant == 0.5))
 
@@ -224,9 +242,10 @@ def _taylor_last(bd: np.ndarray, bs: complex) -> np.ndarray:
     return last
 
 
-def _exp_dd_core(t: float, x: np.ndarray,
+def _exp_dd_core(t, x: np.ndarray,
                  n_slices: int) -> tuple[np.ndarray, DdEvalStats]:
-    """e^{-i t [x_b0, ..., x_b(n-1)]} for each row b of a (B, n) node batch.
+    """e^{-i t [x_b0, ..., x_b(n-1)]} for each row b of a (B, n) node batch,
+    at one time ``t`` or at one time per row (a (B,) array).
 
     Returns (values, stats).  Every row is cut into ``n_slices`` slices,
     its own count from ``_slice_exponents``, so none is over-resolved.  One
@@ -258,8 +277,10 @@ def _exp_dd_core(t: float, x: np.ndarray,
         x = x.astype(np.clongdouble)
     mu, delta = _centered(x.T)
     tau = t / n_slices
-    bd = -1j * tau * delta.T
-    bs = -1j * tau
+    bd = (-1j * tau * delta).T
+    # one time per row: bs is (B, 1) against (B, n) rows, (B, 1, 1) against
+    # (B, n, n) tables
+    bs = -1j * (tau if np.ndim(t) == 0 else tau.reshape(-1, *[1] * (1 + squares)))
     phase = np.exp(-1j * tau * mu)[:, None]
     degree = n + 17
 
@@ -283,7 +304,8 @@ def exp_dd(t, inputs) -> complex:
 
     Exact for a single node (plain exponential); repeated nodes evaluate to
     the confluent limit, e.g. q+1 equal nodes give (-it)^q e^{-itx} / q!.
-    The value is invariant under permutation of the inputs.
+    The value is invariant under permutation of the inputs.  Raises
+    ValueError where t * |x_j - mean| passes 2^52 (see ``_slice_exponents``).
     """
     return exp_dd_stats(t, inputs)[0]
 
@@ -297,14 +319,29 @@ def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:
 
 
 def exp_dd_batch(t, node_rows) -> np.ndarray:
-    """``exp_dd`` of each row of a 2-D node array, in chunks of rows that
-    share a slice count, each under the ``_CHUNK_ELEMENTS`` budget."""
-    t = _check_time(t)
+    """``exp_dd`` of each row of a 2-D node array, at one time ``t`` or at
+    one time per row (a 1-D array of finite times, one per row).
+
+    Each row is sliced at its own count; rows that share a count run in
+    chunks under the ``_CHUNK_ELEMENTS`` budget.  A row's value does not
+    depend on the other rows: it equals ``exp_dd`` of that row at its time,
+    bit for bit.  Raises ValueError on a bad time array, and where a row's
+    t * spread is past the kernel's range (see ``_slice_exponents``).
+    """
     x = np.asarray(node_rows, dtype=complex)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a nonempty 2-D array of node rows")
     if not np.all(np.isfinite(x)):
         raise ValueError("divided-difference inputs must be finite")
+    if np.ndim(t) == 0:
+        t = _check_time(t)
+    else:
+        t = np.asarray(t, dtype=float)
+        if t.shape != x.shape[:1]:
+            raise ValueError(f"expected one time per row ({x.shape[0]}), "
+                             f"got an array of shape {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("time must be finite")
     n = x.shape[1]
     exponents = _slice_exponents(t, x)
     out = np.empty(x.shape[0], dtype=complex)
@@ -313,7 +350,8 @@ def exp_dd_batch(t, node_rows) -> np.ndarray:
         rows = np.flatnonzero(exponents == m)
         step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))
         for chunk in np.split(rows, range(step, rows.size, step)):
-            out[chunk] = _exp_dd_core(t, x[chunk], n_slices)[0]
+            out[chunk] = _exp_dd_core(t if np.ndim(t) == 0 else t[chunk],
+                                      x[chunk], n_slices)[0]
     return out
 
 

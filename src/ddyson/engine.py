@@ -14,7 +14,8 @@ with y_j = E_j - sum_{l>j} lam_l (energies and diagonals read along the
 trajectory) and x_j = y_j - E_final.
 
 ``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
-time, as a readable oracle.  ``evolve_by_order`` evaluates it order by
+time, as a readable oracle; ``path_coefficients`` gives the same values
+for a block of paths with one kernel call per order.  ``evolve_by_order`` evaluates it order by
 order on a frontier of rows, each holding an endpoint z, the sorted
 Schrodinger-picture nodes y and a weight.  A step with rate lam landing
 on z' makes the child y' = sort((y - lam) u {E_z'}): every earlier node
@@ -104,13 +105,18 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def _step_entries(table: np.ndarray, path: Path) -> list:
+    """Entry [i - 1, k - 1, z] of an (M, K, D) step table (``step_tables``)
+    for each step (i, k) of the path, read at its landing state z."""
+    if not all(1 <= i <= len(table) for i in path.terms):
+        raise ValueError(f"path term index outside [1, {len(table)}]")
+    return [table[i - 1, k - 1, z]
+            for i, k, z in zip(path.terms, path.factors, path.trajectory[1:])]
+
+
 def _suffix_lambda_sums(model: HamiltonianModel, path: Path) -> np.ndarray:
     """S_j = sum_{l > j} lam_l for j = 0..q (S_q = 0)."""
-    lam = np.array(
-        [model.term(i).factors[k - 1].lam[z]
-         for i, k, z in zip(path.terms, path.factors, path.trajectory[1:])],
-        dtype=complex,
-    )
+    lam = np.array(_step_entries(model.step_tables[1], path), dtype=complex)
     if lam.size == 0:
         return np.zeros(1, dtype=complex)
     return np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
@@ -138,8 +144,8 @@ def x_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
 def d_product(model: HamiltonianModel, path: Path) -> complex:
     """Product of the d diagonals read at each step's landing state."""
     out = 1.0 + 0j
-    for i, k, z in zip(path.terms, path.factors, path.trajectory[1:]):
-        out *= model.term(i).factors[k - 1].d[z]
+    for d in _step_entries(model.step_tables[2], path):
+        out *= d
     return complex(out)
 
 
@@ -153,6 +159,34 @@ def alpha(model: HamiltonianModel, path: Path, t) -> complex:
 def beta(model: HamiltonianModel, path: Path, t) -> complex:
     """Schrodinger-picture coefficient: alpha times e^{-i t E_final}."""
     return d_product(model, path) * exp_dd(t, y_inputs(model, path))
+
+
+def path_coefficients(model: HamiltonianModel, paths, t,
+                      picture: str = "schrodinger") -> np.ndarray:
+    """``beta`` (or ``alpha`` in the interaction picture) of each of a
+    sequence of paths, with one ``exp_dd_batch`` call per order.
+
+    Nodes and d products come from the one-path functions, and each value
+    is their product as in ``beta``/``alpha``, so the coefficients equal
+    theirs bit for bit.  Take the paths of ``enumerate_paths`` in bounded
+    chunks (e.g. of ``_BLOCK_ROWS``): it can yield up to the work budget.
+    """
+    t = _check_time(t)
+    if picture not in PICTURES:
+        raise ValueError(f"picture must be one of {PICTURES}")
+    interaction = picture == "interaction"
+    nodes_of = x_inputs if interaction else y_inputs
+    out = np.ones(len(paths), dtype=complex)    # alpha of order 0 is 1
+    by_order = {}
+    for i, path in enumerate(paths):
+        if path.order or not interaction:
+            by_order.setdefault(path.order, []).append(i)
+    for index in by_order.values():
+        chosen = [paths[i] for i in index]
+        values = exp_dd_batch(t, [nodes_of(model, p) for p in chosen])
+        out[index] = [d_product(model, p) * v
+                      for p, v in zip(chosen, values.tolist())]
+    return out
 
 
 def _over_budget(work: int, order: int) -> CapacityError:
@@ -207,14 +241,6 @@ class _Rows(NamedTuple):
         return _Rows(*(a[index] for a in self))
 
 
-def _step_tables(model: HamiltonianModel):
-    """Permutation targets (M, D) and factor diagonals lam, d (M, K, D)."""
-    targets = np.stack([tm.perm.targets for tm in model.terms])
-    lam = np.array([[f.lam for f in tm.factors] for tm in model.terms])
-    d = np.array([[f.d for f in tm.factors] for tm in model.terms])
-    return targets, lam, d
-
-
 def _merged(rows: _Rows) -> _Rows:
     """One row per bit-identical (z, y) key, with the weights summed."""
     key = np.column_stack([rows.z.astype(complex), rows.y])
@@ -248,7 +274,8 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     weight * e^{-it[y]} at z, with the nodes shifted by -E_z in the
     interaction picture.  Deterministic for fixed arguments.  Raises
     CapacityError once the children built so far would cost the kernel more
-    than the work budget.
+    than the work budget, and ValueError where a row's t * spread is past
+    the kernel's range.
     """
     _check_index(model, z0)
     t = _check_time(t)
@@ -258,7 +285,7 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
         raise ValueError("max_order must be >= 0")
 
     energies = model.energies
-    tables = _step_tables(model)
+    tables = model.step_tables
     D = model.dimension
     out = np.zeros((max_order + 1, D), dtype=complex)
     root = _Rows(np.array([z0]), np.full((1, 1), energies[z0], complex),

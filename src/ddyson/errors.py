@@ -17,7 +17,7 @@ class CapacityError(RuntimeError):
     """Requested work exceeds a fixed budget: kernel table operations for
     the expansion engine and path enumeration, the basis size (2^16 Fock
     states) of the anharmonic model, precision for the extended-precision
-    oracle."""
+    oracle, right-hand-side evaluations (10^5) for the ODE oracle."""
 
 
 class StiffnessError(RuntimeError):

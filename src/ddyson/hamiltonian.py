@@ -16,6 +16,7 @@ assumed nor enforced.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -164,6 +165,17 @@ class HamiltonianModel:
         if not 1 <= i <= self.n_terms:
             raise ValueError(f"term index {i} outside [1, {self.n_terms}]")
         return self.terms[i - 1]
+
+    @cached_property
+    def step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Permutation targets (M, D) and factor diagonals lam, d (M, K, D),
+        0-based in term and factor; built on first use, read-only."""
+        tables = (np.stack([tm.perm.targets for tm in self.terms]),
+                  np.array([[f.lam for f in tm.factors] for tm in self.terms]),
+                  np.array([[f.d for f in tm.factors] for tm in self.terms]))
+        for a in tables:
+            a.setflags(write=False)
+        return tables
 
 
 def _check_index(model: HamiltonianModel, z: int) -> None:

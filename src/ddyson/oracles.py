@@ -8,7 +8,10 @@ produces, by entirely different numerical routes:
   as q spectral antiderivatives on one 32-point Gauss-Legendre rule: the
   Hermite-Genocchi left-hand side that the kernel evaluates in closed form.
 * ``ode_evolve``: direct adaptive Runge-Kutta integration of
-  i dpsi/dt = H(t) psi.
+  i dpsi/dt = H(t) psi.  Its right-hand side is one gather over a stack
+  of (term, factor) rows indexed by landing state, and it raises
+  ``CapacityError`` past ``_ODE_MAX_EVALUATIONS`` evaluations or where
+  the model's energy scale overflows the step-size control.
 * ``mat_exp_evolve``: e^{-i H t} |z0> by a dense matrix exponential for
   time-independent models.
 * ``infidelity``: 1 - |<psi|psi_Q>|^2 against a normalized reference.
@@ -37,6 +40,10 @@ DENSE_DIMENSION_CAP = 512
 # a 24-point rule agrees to 7e-16 and a 40-point rule to 3e-15 relative.
 _SIMPLEX_POINTS = 32
 _HIGHPREC_MAX_DIGITS = 4000
+# Right-hand-side evaluations one ``ode_evolve`` call may make.  The tests
+# and the benchmark's cli round use at most 962; the single spin at t = 1000
+# needs 196,514.  Past the cap the oracle raises in ~2 s on 2 cores.
+_ODE_MAX_EVALUATIONS = 100_000
 
 
 def dd_nodes_from_rates(gammas) -> np.ndarray:
@@ -95,7 +102,11 @@ def _check_dense(model: HamiltonianModel) -> None:
 
 def ode_evolve(model: HamiltonianModel, z0: int, t,
                tol: float = 1e-10) -> StateVector:
-    """Schrodinger solution |psi(t)> from |z0> by adaptive 4th/5th-order stepping."""
+    """Schrodinger solution |psi(t)> from |z0> by adaptive 4th/5th-order stepping.
+
+    Raises CapacityError after ``_ODE_MAX_EVALUATIONS`` right-hand-side
+    evaluations, or where the integration overflows.
+    """
     from scipy.integrate import solve_ivp
 
     _check_dense(model)
@@ -109,25 +120,44 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     if t == 0.0:
         return StateVector(psi0, 0.0)
 
-    # scatter data: one (dst, src, d, lam) block per term/factor
-    blocks = []
-    for tm in model.terms:
-        src = np.nonzero(tm.perm.targets >= 0)[0]
-        if src.size == 0:
-            continue
-        dst = tm.perm.targets[src]
-        for f in tm.factors:
-            blocks.append((dst, src, f.d[dst], f.lam[dst]))
+    # one row per (term, factor), indexed by landing state: its source,
+    # d and i lam there, all zero where the state has no preimage
+    targets, lam, d = model.step_tables
+    M, K, D = d.shape
+    term, src = np.nonzero(targets >= 0)
+    dst = targets[term, src]
+    source = np.zeros((M, K, D), dtype=np.int64)
+    d_rows, ilam_rows = np.zeros((2, M, K, D), dtype=complex)
+    source[term, :, dst] = src[:, None]
+    d_rows[term, :, dst] = d[term, :, dst]
+    ilam_rows[term, :, dst] = 1j * lam[term, :, dst]
+    source, d_rows, ilam_rows = (a.reshape(M * K, D)
+                                 for a in (source, d_rows, ilam_rows))
     energies = model.energies
+    calls = 0
 
     def rhs(tt, psi):
-        hpsi = energies * psi
-        for dst, src, d, lam in blocks:
-            hpsi[dst] += np.exp(1j * lam * tt) * d * psi[src]
-        return -1j * hpsi
+        nonlocal calls
+        calls += 1
+        if calls > _ODE_MAX_EVALUATIONS:
+            raise CapacityError(
+                f"adaptive integration to t = {t:g} took more than "
+                f"{_ODE_MAX_EVALUATIONS} right-hand-side evaluations; "
+                "reduce the time or the model's energy scale")
+        # the rows added in term, factor order, as H psi entry by entry
+        return -1j * functools.reduce(
+            np.add, np.exp(ilam_rows * tt) * d_rows * psi[source], energies * psi)
 
-    sol = solve_ivp(rhs, (0.0, t), psi0, method="RK45",
-                    rtol=tol, atol=tol * 1e-3)
+    try:
+        # an energy scale near the float range overflows the step-size
+        # control at once; the solve would need ~t * |H| steps anyway
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            sol = solve_ivp(rhs, (0.0, t), psi0, method="RK45",
+                            rtol=tol, atol=tol * 1e-3)
+    except FloatingPointError as exc:
+        raise CapacityError(
+            f"adaptive integration to t = {t:g} overflows ({exc}); "
+            "reduce the time or the model's energy scale") from exc
     if not sol.success:
         raise StiffnessError(f"adaptive integration failed: {sol.message}")
     return StateVector(amplitudes=sol.y[:, -1].copy(), time=t)

@@ -10,18 +10,26 @@ routes, and reports the worst observed error against a fixed tolerance:
 * ``ti_vs_matrix_exponential``: the engine at order 20 against a dense
   matrix exponential.
 
+The first three draw every case first, in a fixed order, then evaluate
+the kernel in batches: by node count with one time per row, or one order
+of a block of paths at a time (``path_coefficients``).  Batched kernel
+values equal case-by-case ``exp_dd`` calls bit for bit, and the errors are
+formed case by case as before, so a seed reports the same ``max_error``.
 The CLI ``validate`` command runs all of them and emits a JSON report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .divdiff import exp_dd, shift_inputs
-# ``evolve`` has no caller here; the benchmark's tracer wraps validate.evolve
-from .engine import beta, alpha, enumerate_paths, evolve, evolve_ti  # noqa: F401
+# ``exp_dd`` and ``evolve`` have no caller here; the benchmark's tracer
+# wraps validate.exp_dd and validate.evolve
+from .divdiff import exp_dd, exp_dd_batch, shift_inputs  # noqa: F401
+from .engine import (_BLOCK_ROWS, enumerate_paths, evolve,  # noqa: F401
+                     evolve_ti, path_coefficients)
 from .hamiltonian import (
     ExpSumFactor,
     HamiltonianModel,
@@ -76,20 +84,34 @@ def random_model(rng: np.random.Generator, dim: int = 4, n_terms: int = 2,
     return HamiltonianModel(energies=energies, terms=tuple(terms))
 
 
+def _kernel_by_width(times: list, node_rows: list) -> list:
+    """``exp_dd`` of each (time, nodes) case, one ``exp_dd_batch`` call per
+    node count; the values equal one ``exp_dd`` call per case bit for bit."""
+    out = [0j] * len(node_rows)
+    widths = [len(nodes) for nodes in node_rows]
+    for n in set(widths):
+        index = [i for i, w in enumerate(widths) if w == n]
+        values = exp_dd_batch(np.array([times[i] for i in index]),
+                              [node_rows[i] for i in index])
+        for i, v in zip(index, values.tolist()):
+            out[i] = v
+    return out
+
+
 def suite_identity1(seed: int = 0) -> SuiteResult:
     """Kernel vs simplex quadrature at depth 1-4: 100 real, then 25 complex draws."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     real_cases, total, tolerance = 100, 125, 1e-8
+    cases = []
     for case in range(total):
         q = int(rng.integers(1, 5))
         g = rng.uniform(-2.0, 2.0, q).astype(complex)
         if case >= real_cases:
             g += 1j * rng.uniform(-1.0, 1.0, q)
-        t = float(rng.uniform(0.0, 1.0))
-        lhs = simplex_integral(t, g)
-        rhs = exp_dd(t, dd_nodes_from_rates(g))
-        worst = max(worst, abs(lhs - rhs))
+        cases.append((float(rng.uniform(0.0, 1.0)), g))
+    rhs = _kernel_by_width([t for t, _ in cases],
+                           [dd_nodes_from_rates(g) for _, g in cases])
+    worst = max(abs(simplex_integral(t, g) - r) for (t, g), r in zip(cases, rhs))
     return SuiteResult("identity1_simplex_vs_kernel", worst <= tolerance,
                        worst, tolerance, total)
 
@@ -97,23 +119,29 @@ def suite_identity1(seed: int = 0) -> SuiteResult:
 def suite_identity2(seed: int = 0) -> SuiteResult:
     """Shift identity e^{-it[x]} = e^{-itc} e^{-it[x - c]} on 200 random inputs."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     cases, tolerance = 200, 1e-10
+    draws = []
     for _ in range(cases):
         q = int(rng.integers(0, 11))
         nodes = rng.uniform(-5.0, 5.0, q + 1) + 1j * rng.uniform(-2.0, 2.0, q + 1)
         c = complex(rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0))
-        t = float(rng.uniform(0.0, 1.0))
-        direct = exp_dd(t, nodes)
-        shifted = np.exp(-1j * t * c) * exp_dd(t, shift_inputs(nodes, c))
-        worst = max(worst, abs(direct - shifted) / max(abs(direct), 1e-300))
+        draws.append((nodes, c, float(rng.uniform(0.0, 1.0))))
+    times = [t for _, _, t in draws]
+    direct = _kernel_by_width(times, [nodes for nodes, _, _ in draws])
+    shifted = _kernel_by_width(times, [shift_inputs(nodes, c)
+                                       for nodes, c, _ in draws])
+    worst = 0.0
+    for (_, c, t), a, b in zip(draws, direct, shifted):
+        b = np.exp(-1j * t * c) * b
+        worst = max(worst, abs(a - b) / max(abs(a), 1e-300))
     return SuiteResult("identity2_shift", worst <= tolerance, worst,
                        tolerance, cases)
 
 
 def suite_alpha_beta(seed: int = 0,
                      model: HamiltonianModel | None = None) -> SuiteResult:
-    """beta = alpha * e^{-i t E_final} on every path of order <= 3 (4 random models)."""
+    """beta = alpha * e^{-i t E_final} on every path of order <= 3 (4 random
+    models), evaluated a block of paths and one order at a time."""
     rng = np.random.default_rng(seed)
     tolerance = 1e-10
     models = [model] if model is not None else [
@@ -123,12 +151,14 @@ def suite_alpha_beta(seed: int = 0,
     for m in models:
         t = float(rng.uniform(0.1, 1.0))
         z0 = int(rng.integers(0, m.dimension))
-        for path in enumerate_paths(m, z0, 3):
-            b = beta(m, path, t)
-            bridged = alpha(m, path, t) * np.exp(
-                -1j * t * m.energies[path.trajectory[-1]])
-            worst = max(worst, abs(b - bridged) / max(abs(b), 1e-300))
-            count += 1
+        paths = enumerate_paths(m, z0, 3)
+        while block := list(islice(paths, _BLOCK_ROWS)):
+            betas = path_coefficients(m, block, t, "schrodinger").tolist()
+            alphas = path_coefficients(m, block, t, "interaction").tolist()
+            for path, b, a in zip(block, betas, alphas):
+                bridged = a * np.exp(-1j * t * m.energies[path.trajectory[-1]])
+                worst = max(worst, abs(b - bridged) / max(abs(b), 1e-300))
+            count += len(block)
     return SuiteResult("alpha_beta_bridge", worst <= tolerance, worst,
                        tolerance, count)
 

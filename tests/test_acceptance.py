@@ -22,6 +22,7 @@ remainder sum_{q>Q} psi^(q):
 
 import math
 import time
+from itertools import islice
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -46,9 +47,11 @@ from ddyson import (
     infidelity,
     mat_exp_evolve,
     ode_evolve,
+    path_coefficients,
     quartic_amplitude,
     SingleSpinParams,
 )
+from ddyson.engine import _BLOCK_ROWS
 from ddyson.models import FermiParams
 from ddyson.oracles import exp_dd_highprec
 from ddyson.validate import random_ti_model, suite_identity1, suite_identity2
@@ -331,12 +334,14 @@ def test_criterion_9_time_independent_reduction():
         worst_expm = max(worst_expm,
                          float(np.abs(series.amplitudes - dense.amplitudes).max()))
         # path-for-path agreement with the per-path oracle: beta summed over
-        # every enumerated path; order 12 keeps the exhaustive (M K)^Q
-        # enumeration tractable
+        # every enumerated path (one kernel call per order and block of
+        # paths); order 12 keeps the exhaustive (M K)^Q enumeration tractable
         a = evolve_ti(m, z0, t, 12)
         b = np.zeros(m.dimension, complex)
-        for p in enumerate_paths(m, z0, 12):
-            b[p.trajectory[-1]] += beta(m, p, t)
+        paths = enumerate_paths(m, z0, 12)
+        while block := list(islice(paths, _BLOCK_ROWS)):
+            np.add.at(b, [p.trajectory[-1] for p in block],
+                      path_coefficients(m, block, t))
         worst_engine = max(worst_engine, float(np.abs(a.amplitudes - b).max()))
     ok = worst_expm <= 1e-8 and worst_engine <= 1e-12
     _report(9, "time-independent reduction", ok,

@@ -206,6 +206,40 @@ def test_capacity_exit_code():
         assert time.perf_counter() - start < 1.0
 
 
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_ode_oracle_capacity_exit_code(capsys):
+    # the oracle counts its right-hand-side evaluations: past the cap, or
+    # where the energy scale overflows the step-size control, it stops
+    for argv in (["evolve", "--model", "single_spin", "--z0", "0", "--t", "1e6",
+                  "--Q", "2", "--oracle"],
+                 ["infidelity-sweep", "--model", "single_spin", "--z0", "0",
+                  "--t", "0:1:3", "--Q", "2", "--param", "a=1e300"]):
+        start = time.perf_counter()
+        assert run(argv) == 3
+        assert time.perf_counter() - start < 5.0
+        assert _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--model", "single_spin", "--z0", "0", "--t", "0.5", "--Q", "2",
+     "--param", "a=1e300"],
+    ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+     "--t", "1e308", "--Q", "3"]], ids=["spin-a=1e300", "fermi-t=1e308"])
+def test_past_the_kernel_range_exit_code(argv, capsys, tmp_path):
+    # these printed nan rows with exit 0, or an OverflowError traceback
+    out = tmp_path / "out.csv"
+    assert run([*argv, "--out", str(out)]) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+    # the fermi amplitude at a long time inside the range still runs
+    assert run(["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+                "--t", "6e4", "--Q", "3", "--out", str(out)]) == 0
+
+
 def test_config_error_exit_code(tmp_path):
     assert run(["evolve", "--model", "unknown_model", "--z0", "0",
                 "--t", "0.1", "--Q", "1"]) == 2

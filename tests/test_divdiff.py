@@ -215,6 +215,54 @@ def test_batch_slices_each_row_at_its_own_count(monkeypatch):
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
 
+@pytest.mark.parametrize("decay", [0.0, 0.4], ids=["real", "decaying"])
+def test_batch_times_per_row_match_row_by_row(decay):
+    # t * spread from ~0.01 to ~400: one-slice, chained (s <= n) and
+    # squaring (s > n) rows side by side in one call
+    rng = np.random.default_rng(20)
+    routes = set()
+    for n in range(1, 14):
+        x = rng.uniform(-1.0, 1.0, (40, n)) - 1j * decay * rng.uniform(0.0, 1.0, (40, n))
+        times = np.exp(rng.uniform(np.log(0.01), np.log(200.0), 40))
+        slices = 1 << divdiff._slice_exponents(times, x)
+        routes |= {1 if s == 1 else 2 if s <= n else 3 for s in slices}
+        want = np.array([exp_dd(t, row) for t, row in zip(times, x)])
+        assert exp_dd_batch(times, x).tobytes() == want.tobytes()
+        # one time for every row is the same as that time given per row
+        t = float(times[0])
+        assert (exp_dd_batch(t, x).tobytes()
+                == exp_dd_batch(np.full(len(x), t), x).tobytes())
+    assert routes == {1, 2, 3}
+
+
+@pytest.mark.parametrize("times", [
+    np.full(3, 0.5), np.full(5, 0.5), np.full((4, 1), 0.5),
+    np.array([0.5, np.nan, 0.5, 0.5]), np.array([0.5, 0.5, np.inf, 0.5])],
+    ids=["short", "long", "2-d", "nan", "inf"])
+def test_batch_rejects_bad_time_arrays(times):
+    with pytest.raises(ValueError):
+        exp_dd_batch(times, np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("t, nodes", [(1e20, [1.0, 0.0]), (1.0, [1e40, 0.0]),
+                                      (1e308, [1.0, 0.0])])
+def test_past_the_kernel_range_is_a_value_error(t, nodes):
+    # t * spread * eps >= 1: these returned 3.2e46 (the modulus of the true
+    # value is at most 2), nan and nan
+    with pytest.raises(ValueError, match="range"):
+        exp_dd(t, nodes)
+    with pytest.raises(ValueError, match="range"):
+        exp_dd_batch(np.array([0.5, t]), [[1.0, 0.0], nodes])
+
+
+def test_kernel_range_ends_at_two_to_the_52_slices():
+    x = np.array([[-1.0, 1.0]])
+    assert divdiff._slice_exponents(2.0 ** 52, x)[0] == 52
+    with pytest.raises(ValueError):
+        divdiff._slice_exponents(np.nextafter(2.0 ** 52, np.inf), x)
+    assert np.isfinite(exp_dd(2.0 ** 52, x[0]))
+
+
 def _full_row_last(t, x):
     # every Taylor term updates all n entries of (B, n) rows started from
     # e_0, and the whole top row is summed; the result is its last entry

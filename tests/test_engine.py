@@ -5,6 +5,7 @@ time-independent specialization."""
 import math
 import time
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -278,12 +279,59 @@ def test_evolution_error_decreases_with_order():
 # -- frontier engine ---------------------------------------------------------
 
 def per_path_orders(model, z0, t, max_order, picture):
-    """Order-resolved state from the per-path oracle (alpha or beta per path)."""
-    coefficient = alpha if picture == "interaction" else beta
+    """Order-resolved state from the per-path oracle (alpha or beta per
+    path), evaluated a block of paths at a time."""
     out = np.zeros((max_order + 1, model.dimension), complex)
-    for p in enumerate_paths(model, z0, max_order):
-        out[p.order, p.trajectory[-1]] += coefficient(model, p, t)
+    paths = enumerate_paths(model, z0, max_order)
+    while block := list(islice(paths, engine._BLOCK_ROWS)):
+        np.add.at(out, ([p.order for p in block], [p.trajectory[-1] for p in block]),
+                  engine.path_coefficients(model, block, t, picture))
     return out
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_path_coefficients_equal_one_path_formula(picture):
+    # decaying rates, orders 0-4, blocks mixing every order
+    m = random_model(np.random.default_rng(36))
+    one_path = alpha if picture == "interaction" else beta
+    for t in (0.3, 2.5):
+        paths = list(enumerate_paths(m, 1, 4))
+        got = engine.path_coefficients(m, paths, t, picture)
+        want = np.array([one_path(m, p, t) for p in paths])
+        assert {p.order for p in paths} == set(range(5))
+        np.testing.assert_array_equal(got, want)
+    assert engine.path_coefficients(m, [], 0.3, picture).shape == (0,)
+    with pytest.raises(ValueError):
+        engine.path_coefficients(m, paths, 0.3, "heisenberg")
+
+
+def test_step_reads_match_term_lookups():
+    # the values of the per-step model.term() lookups, in the same order
+    def suffix_sums(model, path):
+        lam = np.array([model.term(i).factors[k - 1].lam[z] for i, k, z in
+                        zip(path.terms, path.factors, path.trajectory[1:])],
+                       dtype=complex)
+        if lam.size == 0:
+            return np.zeros(1, dtype=complex)
+        return np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
+
+    def d_loop(model, path):
+        out = 1.0 + 0j
+        for i, k, z in zip(path.terms, path.factors, path.trajectory[1:]):
+            out *= model.term(i).factors[k - 1].d[z]
+        return complex(out)
+
+    m = random_model(np.random.default_rng(37), dim=5, n_terms=3, n_factors=3)
+    for p in enumerate_paths(m, 2, 3):
+        assert engine._suffix_lambda_sums(m, p).tobytes() == suffix_sums(m, p).tobytes()
+        assert d_product(m, p) == d_loop(m, p)
+    # a term index outside [1, M] is an error, as for model.term, not a
+    # wrapped-around read of another term
+    for i in (0, 4):
+        bad = engine.Path(origin=2, terms=(i,), factors=(1,), trajectory=(2, 3))
+        for read in (d_product, y_inputs):
+            with pytest.raises(ValueError):
+                read(m, bad)
 
 
 def test_merged_rows_match_per_path_oracle(monkeypatch):
@@ -306,9 +354,9 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
     monkeypatch.setattr(engine, "exp_dd_batch",
                         lambda t, nodes: rows.append(len(nodes)) or batch(t, nodes))
     for picture in ("schrodinger", "interaction"):
+        want = per_path_orders(m, 0, t, Q, picture)
         rows.clear()
         got = evolve_by_order(m, 0, t, Q, picture)
-        want = per_path_orders(m, 0, t, Q, picture)
         assert np.abs(got - want).max() <= 1e-12
         assert sum(rows) == len(keys)
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4

@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 
 from ddyson import (
+    CapacityError,
+    ExpSumFactor,
+    HamiltonianModel,
+    PermutationMap,
+    PermutationTerm,
     SingleSpinParams,
     StateVector,
+    build_anharmonic,
     build_single_spin,
     dd_nodes_from_rates,
     exp_dd,
@@ -24,7 +30,8 @@ from ddyson import (
 )
 import ddyson
 from ddyson import oracles
-from ddyson.validate import random_ti_model
+from ddyson.models import AnharmonicParams
+from ddyson.validate import random_model, random_ti_model
 
 
 # -- simplex quadrature --------------------------------------------------------
@@ -117,6 +124,80 @@ def test_ode_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         ode_evolve(build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2)),
                    0, 0.5, tol=tol)
+    assert time.perf_counter() - start < 1.0
+
+
+def _loop_ode_evolve(model, z0, t, tol=1e-10):
+    """The right-hand side as one scatter block per (term, factor), added
+    in a Python loop, under the same solver settings as ``ode_evolve``."""
+    from scipy.integrate import solve_ivp
+
+    psi0 = np.zeros(model.dimension, dtype=complex)
+    psi0[z0] = 1.0
+    blocks = []
+    for tm in model.terms:
+        src = np.nonzero(tm.perm.targets >= 0)[0]
+        if src.size == 0:
+            continue
+        dst = tm.perm.targets[src]
+        for f in tm.factors:
+            blocks.append((dst, src, f.d[dst], f.lam[dst]))
+    energies = model.energies
+
+    def rhs(tt, psi):
+        hpsi = energies * psi
+        for dst, src, d, lam in blocks:
+            hpsi[dst] += np.exp(1j * lam * tt) * d * psi[src]
+        return -1j * hpsi
+
+    sol = solve_ivp(rhs, (0.0, t), psi0, method="RK45", rtol=tol, atol=tol * 1e-3)
+    return sol.y[:, -1]
+
+
+def _cases_for_the_stacked_rhs(free_model):
+    oscillator = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
+                                                   gamma_eff=0.02, n_max=28))
+    cases = [(oscillator, 4, t) for t in (0.01, 0.045, 0.065)]
+    cases += [(random_model(np.random.default_rng(s)), 1, 0.7) for s in (55, 56)]
+    cases.append((free_model([0.7, -0.3, 1.9]), 2, 1.3))
+    # a term with no defined image beside one with a partial image
+    dim = 3
+    nowhere = PermutationTerm(perm=PermutationMap(np.full(dim, -1)), factors=(
+        ExpSumFactor(lam=np.full(dim, 0.5), d=np.full(dim, 0.4)),))
+    shift = PermutationTerm(perm=PermutationMap.from_shift(dim, 1), factors=(
+        ExpSumFactor(lam=np.array([0.3, -0.2, 0.1j]), d=np.array([0.2, 0.5j, -0.3])),))
+    cases.append((HamiltonianModel(energies=np.array([0.0, 1.0, -0.5]),
+                                   terms=(nowhere, shift)), 0, 2.0))
+    return cases
+
+
+def test_stacked_rhs_matches_the_loop(free_model):
+    for model, z0, t in _cases_for_the_stacked_rhs(free_model):
+        got = ode_evolve(model, z0, t).amplitudes
+        want = _loop_ode_evolve(model, z0, t)
+        assert np.abs(got - want).max() <= 1e-14
+
+
+def test_ode_evaluations_are_capped(monkeypatch):
+    # with the cap lowered to 2000, the oscillator at t = 0.065 (~800
+    # evaluations) still runs, and the spin at t = 1000 (~2e5) stops at it
+    monkeypatch.setattr(oracles, "_ODE_MAX_EVALUATIONS", 2000)
+    oscillator = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
+                                                   gamma_eff=0.02, n_max=28))
+    ode_evolve(oscillator, 4, 0.065)
+    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="2000 right-hand-side evaluations"):
+        ode_evolve(m, 0, 1000.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ode_overflow_is_a_capacity_error():
+    # energies near the float range overflow the step-size control at once
+    m = build_single_spin(SingleSpinParams(a=1e300, b=0.5, gamma=0.2))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="overflows"):
+        ode_evolve(m, 0, 0.5)
     assert time.perf_counter() - start < 1.0
 
 
