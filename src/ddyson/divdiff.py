@@ -8,24 +8,18 @@ off the top row of exp(-i t (diag(x) + S)), with S the superdiagonal of
 ones (the Opitz form of the divided-difference table), so no gap is ever
 divided by and repeated nodes need no special case.
 
-Each row is shifted to its centroid mu and the time is split into s = 2^m
-slices with |tau (x_j - mu)| <= 1.  One slice is the Taylor polynomial of
-degree n + 17 (n = q + 1 nodes), fixed in advance: its tail is below 1e-16
-relative to every entry.  Only the top row is carried, so a Taylor term is
-an O(n) vector update.  A row of one slice needs only the last entry of
-its top row, which reads no entry of term k below k - 18; its nodes are
-held node-major, as an (n, B) batch, and each term updates only that band
-of at most 19 contiguous node rows.  Up to s = n slices a (B, n) row is
-pushed through the full update once per slice; past that the full slice
-table (O(n^2) per term) is built once and squared m times, so long times
-cost O(log s) table products instead of s slices.  Chained tables hold
-divided differences over runs of consecutive nodes, so before chaining
-the nodes are reordered to keep every run spread out, and the squaring
-runs in extended precision.
-
-``exp_dd_batch`` evaluates many rows at one time or at one time per row.
+Every evaluation goes through ``exp_dd_batch``, which holds its rows
+node-major, an (n, B) array, from entry to result and centres them once
+on their means mu.  The time is split into s = 2^m slices with
+|tau (x_j - mu)| <= 1; one slice is the Taylor polynomial of degree
+n + 17 (n = q + 1 nodes), whose tail is below 1e-16 relative to every
+entry.  Only the top row is carried, and a row of one slice updates only
+the band of at most 19 entries its last entry reads.  Up to s = n slices
+a row is chained through the full O(n) update; past that its slice table
+is built once and squared m times, in extended precision.  Both reorder
+the nodes first, so that every run of consecutive nodes spans the cloud.
 The relative error grows as t * spread * eps, so a row past 2^52 slices,
-where no digit would be significant, raises ValueError.
+a phase t * |mu| past 2^52 or a value that overflows raises ValueError.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -33,6 +27,7 @@ restricted to well-separated nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -46,8 +41,11 @@ _SLICE_CAP = 1.0
 # result's relative error grows as t * spread * eps (against
 # ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
 # 1e8, 9e-5 at 1e13, 1.5e-2 at 1e16), and past 1 / eps = 2^52 no digit of
-# it is significant.
+# it is significant.  The phase e^{-i t mu} has the same limit in t * |mu|.
 _MAX_SLICE_EXPONENT = 52
+_RANGE = 2.0 ** _MAX_SLICE_EXPONENT
+_PAST_RANGE = (f"is past the kernel's range 2^{_MAX_SLICE_EXPONENT}: no digit "
+               "of the divided difference would be significant")
 # Work budget of one kernel call: its largest array holds at most this many
 # complex elements, B * (n + 1) on the vector routes (the one-slice buffers
 # carry a zero pad row) and B * n^2 on the squaring route.  ``exp_dd_batch``
@@ -75,14 +73,14 @@ def as_nodes(inputs) -> np.ndarray:
         raise ValueError("divided-difference inputs must be one-dimensional")
     if arr.size == 0:
         raise ValueError("divided-difference inputs must be nonempty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("divided-difference inputs must be finite")
     return arr
 
 
 def _check_time(t) -> float:
     t = float(t)
-    if not np.isfinite(t):
+    if not math.isfinite(t):
         raise ValueError("time must be finite")
     return t
 
@@ -98,21 +96,20 @@ def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slice_exponents(t, x: np.ndarray) -> np.ndarray:
-    """Per row of a (B, n) node batch, the m of its slice count s = 2^m:
-    the smallest power of two with |t (x_j - mu)| / s <= _SLICE_CAP, where
-    mu is the row's mean.  ``t`` is one time, or one per row.
-
-    Raises ValueError past m = ``_MAX_SLICE_EXPONENT`` (or where t times
-    the spread overflows): no digit of the result would be significant.
-    """
+    """``_exponents`` of a (B, n) node batch, as the engine counts work."""
     with np.errstate(over="ignore", invalid="ignore"):
-        amax = reduce(np.maximum, np.abs(t * _centered(x.T)[1]))
-        # nan and inf fail this test too
-        if not (amax <= _SLICE_CAP * 2.0 ** _MAX_SLICE_EXPONENT).all():
-            raise ValueError(
-                f"time times node distance from the mean, {np.max(amax):.3g}, "
-                f"is past the kernel's range 2^{_MAX_SLICE_EXPONENT}: no digit "
-                "of the divided difference would be significant")
+        return _exponents(t, _centered(np.ascontiguousarray(x.T))[1])
+
+
+def _exponents(t, delta: np.ndarray) -> np.ndarray:
+    """Per row of node-major centred nodes, the m of its slice count s = 2^m:
+    the least with |t (x_j - mu)| / s <= _SLICE_CAP (``t``: one time, or
+    one per row).  Raises ValueError past m = ``_MAX_SLICE_EXPONENT``."""
+    amax = np.abs(t * delta).max(axis=0)
+    # nan and inf fail this test too
+    if not (amax <= _SLICE_CAP * _RANGE).all():
+        raise ValueError(f"time times node distance from the mean, "
+                         f"{np.max(amax):.3g}, {_PAST_RANGE}")
     mant, exp = np.frexp(amax / _SLICE_CAP)
     return np.maximum(0, exp - (mant == 0.5))
 
@@ -161,8 +158,8 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 
 def _spread_order(delta: np.ndarray) -> np.ndarray:
-    """Per-row node order, from centred nodes, in which every run of
-    consecutive nodes spans the row's whole node cloud.
+    """Per-row node order, node-major as the centred nodes ``delta``, in
+    which every run of consecutive nodes spans the row's whole node cloud.
 
     Chaining multiplies tables whose entries are divided differences over
     runs of consecutive nodes.  A run of nearby nodes has a divided
@@ -171,19 +168,21 @@ def _spread_order(delta: np.ndarray) -> np.ndarray:
     lose all digits.  The nodes are sorted along the principal axis of
     their cloud and taken in bit-reversed (van der Corput) order.
     """
-    axis = np.exp(-0.5j * np.angle((delta * delta).sum(axis=1)))
-    order = np.argsort((delta * axis[:, None]).real, axis=1)
-    return order[:, _bit_reversal(delta.shape[1])]
+    # summed along contiguous rows, in numpy's pairwise order, so the axis
+    # does not depend on the layout
+    square = np.ascontiguousarray((delta * delta).T).sum(axis=1)
+    order = np.argsort((delta * np.exp(-0.5j * np.angle(square))).real, axis=0)
+    return order[_bit_reversal(len(delta))]
 
 
-def _taylor(r: np.ndarray, bd: np.ndarray, bs: complex, degree: int) -> np.ndarray:
-    """r @ exp(diag(bd) + bs S) by its Taylor polynomial, on the last axis."""
+def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int) -> np.ndarray:
+    """r @ exp(diag(bd) + bs S) by its Taylor polynomial, on the node axis 0."""
     acc = r.copy()
     term = r.copy()
     nxt = np.empty_like(acc)
     for k in range(1, degree + 1):
         np.multiply(term, bd, out=nxt)
-        nxt[..., 1:] += bs * term[..., :-1]
+        nxt[1:] += bs * term[:-1]
         nxt *= 1.0 / k
         acc += nxt
         term, nxt = nxt, term
@@ -213,13 +212,13 @@ def _taylor_band(n: int) -> tuple:
     return tuple(steps)
 
 
-def _taylor_last(bd: np.ndarray, bs: complex) -> np.ndarray:
+def _taylor_last(bd: np.ndarray, bs) -> np.ndarray:
     """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
     (n, B) with n >= 2, by its Taylor polynomial of degree n + 17.
 
     Each term updates only its ``_taylor_band``, with the operations of
-    ``_taylor`` on (B, n) rows started from e_0, in the same order, so the
-    last entry is bit for bit the same.  Only that entry is summed.
+    ``_taylor`` started from e_0, in the same order, so the last entry is
+    bit for bit the same.  Only that entry is summed.
     """
     n, B = bd.shape
     bs = np.array(bs)  # 0-d, as each 1/k of the band
@@ -242,61 +241,48 @@ def _taylor_last(bd: np.ndarray, bs: complex) -> np.ndarray:
     return last
 
 
-def _exp_dd_core(t, x: np.ndarray,
-                 n_slices: int) -> tuple[np.ndarray, DdEvalStats]:
-    """e^{-i t [x_b0, ..., x_b(n-1)]} for each row b of a (B, n) node batch,
-    at one time ``t`` or at one time per row (a (B,) array).
+def _exp_dd_core(t, xt: np.ndarray, mu: np.ndarray, delta: np.ndarray,
+                 n_slices: int) -> np.ndarray:
+    """Values e^{-i t [x_0b, ..., x_(n-1)b]} of the columns b of a
+    node-major (n, B) batch ``xt``, given its ``_centered`` means and
+    nodes, at one time ``t`` or one per column, cut into ``n_slices``.
 
-    Returns (values, stats).  Every row is cut into ``n_slices`` slices,
-    its own count from ``_slice_exponents``, so none is over-resolved.  One
-    slice runs node-major through ``_taylor_last``, 2 (19n - 1) table
-    operations per row; chained slices and the squaring route carry (B, n)
-    rows or (B, n, n) tables through ``_taylor`` (see ``_table_ops``).
+    One slice runs through ``_taylor_last``; chained slices carry (n, B)
+    rows and the squaring route (n, n, B) tables through ``_taylor`` (see
+    ``_table_ops``).  Only ``exp_dd_batch`` calls it.
     """
-    B, n = x.shape
-    stats = DdEvalStats(n_slices=n_slices, table_ops=_table_ops(n, n_slices))
-    if n == 1:
-        return np.exp(-1j * t * x[:, 0]), stats
-
+    n = len(xt)
     # exp(-it Z) = e^{-it mu} exp(-it (Z - mu)); one slice is
     # e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu), bs = -i tau.
     # With |bd| <= 1, Taylor term k adds at most tau^j / (j! (k - j)!) to
     # entry j, whose value is at least ~0.2 tau^j / j!; degree n + 17 so
     # leaves a tail below 5 / 19! ~ 4e-17 relative to each entry.
+    if n == 1:
+        return np.exp(-1j * t * mu)
     if n_slices == 1:
-        mu, delta = _centered(np.ascontiguousarray(x.T))
-        values = _taylor_last(-1j * t * delta, -1j * t) * np.exp(-1j * t * mu)
-        return values, stats
+        return _taylor_last(-1j * t * delta, -1j * t) * np.exp(-1j * t * mu)
 
     # one slice is accurate in any node order; chaining is not
-    x = np.take_along_axis(x, _spread_order(_centered(x.T)[1].T), axis=1)
+    xt = np.take_along_axis(xt, _spread_order(delta), axis=0)
     squares = _squares(n_slices, n)
-    if squares:
-        # the products of a squaring cancel more than a row update does;
-        # extended precision (where the platform has it) absorbs that
-        x = x.astype(np.clongdouble)
-    mu, delta = _centered(x.T)
+    # the products of a squaring cancel more than a row update does;
+    # extended precision (where the platform has it) absorbs that
+    mu, delta = _centered(xt.astype(np.clongdouble) if squares else xt)
     tau = t / n_slices
-    bd = (-1j * tau * delta).T
-    # one time per row: bs is (B, 1) against (B, n) rows, (B, 1, 1) against
-    # (B, n, n) tables
-    bs = -1j * (tau if np.ndim(t) == 0 else tau.reshape(-1, *[1] * (1 + squares)))
-    phase = np.exp(-1j * tau * mu)[:, None]
-    degree = n + 17
-
+    bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
     if not squares:
-        rows = np.zeros((B, n), dtype=complex)
-        rows[:, 0] = 1.0
+        rows = np.zeros(xt.shape, dtype=complex)
+        rows[0] = 1.0
         for _ in range(n_slices):
-            rows = _taylor(rows, bd, bs, degree) * phase
-    else:
-        eye = np.broadcast_to(np.eye(n, dtype=x.dtype), (B, n, n))
-        table = _taylor(eye, bd[:, None, :], bs, degree) * phase[:, :, None]
-        for _ in range(n_slices.bit_length() - 1):
-            table = table @ table
-        rows = table[:, 0, :]
-
-    return rows[:, -1].astype(complex), stats
+            rows = _taylor(rows, bd, bs, n + 17) * phase
+        return rows[-1]
+    # table[j, i, b] is entry (i, j) of row b's slice table, and matmul
+    # reads its matrices on axes (1, 0)
+    eye = np.broadcast_to(np.eye(n, dtype=delta.dtype)[:, :, None], (n, n, len(mu)))
+    table = _taylor(eye, bd[:, None], bs, n + 17) * phase
+    for _ in range(n_slices.bit_length() - 1):
+        table = np.matmul(table, table, axes=[(1, 0)] * 3)
+    return table[-1, 0].astype(complex)
 
 
 def exp_dd(t, inputs) -> complex:
@@ -305,53 +291,64 @@ def exp_dd(t, inputs) -> complex:
     Exact for a single node (plain exponential); repeated nodes evaluate to
     the confluent limit, e.g. q+1 equal nodes give (-it)^q e^{-itx} / q!.
     The value is invariant under permutation of the inputs.  Raises
-    ValueError where t * |x_j - mean| passes 2^52 (see ``_slice_exponents``).
+    ValueError past the kernel's range (see ``exp_dd_batch``).
     """
-    return exp_dd_stats(t, inputs)[0]
+    return complex(exp_dd_batch(t, as_nodes(inputs)[None])[0])
 
 
 def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:
     """``exp_dd`` plus work accounting (slice count, table operations)."""
-    t = _check_time(t)
-    x = as_nodes(inputs)[None, :]
-    values, stats = _exp_dd_core(t, x, 1 << int(_slice_exponents(t, x)[0]))
-    return complex(values[0]), stats
+    x = as_nodes(inputs)
+    value = exp_dd(t, x)
+    n_slices = 1 << int(_slice_exponents(t, x[None])[0])
+    return value, DdEvalStats(n_slices, _table_ops(len(x), n_slices))
 
 
 def exp_dd_batch(t, node_rows) -> np.ndarray:
     """``exp_dd`` of each row of a 2-D node array, at one time ``t`` or at
     one time per row (a 1-D array of finite times, one per row).
 
-    Each row is sliced at its own count; rows that share a count run in
-    chunks under the ``_CHUNK_ELEMENTS`` budget.  A row's value does not
-    depend on the other rows: it equals ``exp_dd`` of that row at its time,
-    bit for bit.  Raises ValueError on a bad time array, and where a row's
-    t * spread is past the kernel's range (see ``_slice_exponents``).
+    The rows are held node-major, (n, B), and centred once: the same means
+    and centred nodes pick each row's slice count and feed the one-slice
+    route.  Rows that share a count run in chunks under the
+    ``_CHUNK_ELEMENTS`` budget.  A row's value equals ``exp_dd`` of that
+    row at its time, bit for bit.  Raises ValueError on a bad time array,
+    and past the kernel's range: where t * |x_j - mean| or t * |mean|
+    passes 2^52, or a value overflows.
     """
     x = np.asarray(node_rows, dtype=complex)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a nonempty 2-D array of node rows")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("divided-difference inputs must be finite")
-    if np.ndim(t) == 0:
-        t = _check_time(t)
-    else:
+    B, n = x.shape
+    per_row = np.ndim(t) != 0
+    if per_row:
         t = np.asarray(t, dtype=float)
-        if t.shape != x.shape[:1]:
-            raise ValueError(f"expected one time per row ({x.shape[0]}), "
-                             f"got an array of shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("time must be finite")
-    n = x.shape[1]
-    exponents = _slice_exponents(t, x)
-    out = np.empty(x.shape[0], dtype=complex)
-    for m in np.flatnonzero(np.bincount(exponents)):
-        n_slices = 1 << int(m)
-        rows = np.flatnonzero(exponents == m)
-        step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))
-        for chunk in np.split(rows, range(step, rows.size, step)):
-            out[chunk] = _exp_dd_core(t if np.ndim(t) == 0 else t[chunk],
-                                      x[chunk], n_slices)[0]
+        if t.shape != (B,) or not np.isfinite(t).all():
+            raise ValueError(f"expected one finite time per row ({B})")
+    else:
+        t = _check_time(t)
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty(B, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, delta = _centered(xt)
+        exponents = _exponents(t, delta)
+        phase = np.abs(t * mu).max(initial=0.0)
+        if not phase <= _RANGE:
+            raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
+        for m, count in enumerate(np.bincount(exponents).tolist()):
+            n_slices = 1 << m
+            step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))
+            # a batch of one slice count is cut into views, not copies
+            rows = np.flatnonzero(exponents == m) if 0 < count < B else None
+            for start in range(0, count, step):
+                chunk = (slice(start, start + step) if rows is None
+                         else rows[start:start + step])
+                out[chunk] = _exp_dd_core(t[chunk] if per_row else t, xt[:, chunk],
+                                          mu[chunk], delta[:, chunk], n_slices)
+    if not np.isfinite(out).all():
+        raise ValueError("a divided difference is past 1.8e308, out of the kernel's range")
     return out
 
 

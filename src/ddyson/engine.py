@@ -4,14 +4,12 @@ Each expansion order q contributes one path per multi-index
 (i_1..i_q, k_1..k_q): a walk through the basis picking one permutation
 term and one exponential-sum factor at every step.  The time-ordered
 Dyson integral for a path collapses to a single divided-difference
-exponential; its interaction-picture node list ends in a literal 0, and
-the Schrodinger-picture list is the same shifted by the final free energy:
+exponential over the Schrodinger-picture nodes y_j = E_j - sum_{l>j} lam_l
+(energies and diagonals read along the trajectory), or over the
+interaction-picture nodes x_j = y_j - E_final, whose last is 0:
 
     alpha = (prod_j d_j) * e^{-i t [x_0, ..., x_{q-1}, 0]}
     beta  = alpha * e^{-i t E_final} = (prod_j d_j) * e^{-i t [y_0, ..., y_q]}
-
-with y_j = E_j - sum_{l>j} lam_l (energies and diagonals read along the
-trajectory) and x_j = y_j - E_final.
 
 ``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
 time, as a readable oracle; ``path_coefficients`` gives the same values
@@ -129,16 +127,11 @@ def y_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
 
 
 def x_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
-    """Interaction-picture nodes [x_0, ..., x_{q-1}, 0], q >= 1.
+    """Interaction-picture nodes x_j = y_j - E_q, j = 0..q.
 
-    x_j = E_j - E_q - sum_{l>j} lam_l; the trailing node is the literal 0.
+    The last node, y_q - E_q = E_q - E_q, is exactly 0.
     """
-    if path.order < 1:
-        raise ValueError("interaction-picture nodes need order >= 1")
-    y = y_inputs(model, path)
-    x = y - model.energies[path.trajectory[-1]]
-    x[-1] = 0.0
-    return x
+    return y_inputs(model, path) - model.energies[path.trajectory[-1]]
 
 
 def d_product(model: HamiltonianModel, path: Path) -> complex:
@@ -151,8 +144,6 @@ def d_product(model: HamiltonianModel, path: Path) -> complex:
 
 def alpha(model: HamiltonianModel, path: Path, t) -> complex:
     """Interaction-picture coefficient of one (i_q, k_q) path."""
-    if path.order == 0:
-        return 1.0 + 0j
     return d_product(model, path) * exp_dd(t, x_inputs(model, path))
 
 
@@ -174,13 +165,11 @@ def path_coefficients(model: HamiltonianModel, paths, t,
     t = _check_time(t)
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
-    interaction = picture == "interaction"
-    nodes_of = x_inputs if interaction else y_inputs
-    out = np.ones(len(paths), dtype=complex)    # alpha of order 0 is 1
+    nodes_of = x_inputs if picture == "interaction" else y_inputs
+    out = np.empty(len(paths), dtype=complex)
     by_order = {}
     for i, path in enumerate(paths):
-        if path.order or not interaction:
-            by_order.setdefault(path.order, []).append(i)
+        by_order.setdefault(path.order, []).append(i)
     for index in by_order.values():
         chosen = [paths[i] for i in index]
         values = exp_dd_batch(t, [nodes_of(model, p) for p in chosen])

@@ -254,7 +254,8 @@ def model_from_config(cfg: dict) -> HamiltonianModel:
                 perm = PermutationMap.from_mapping(mapping)
         except ModelError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
+            # an integer past int64 overflows the target array
             raise ModelError(f"{where}: invalid mapping ({exc})") from exc
 
         factors_cfg = tc.get("factors")

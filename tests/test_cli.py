@@ -224,13 +224,27 @@ def test_ode_oracle_capacity_exit_code(capsys):
         assert _one_line_error(capsys)
 
 
+# a two-level flip whose envelope e^{i lam t} grows, lam = -i
+GROWING_FLIP = {
+    "dimension": 2,
+    "energies": [0.0, 1.0],
+    "terms": [{"mapping": [1, 0], "factors": [{"lambda": [[0, -1], [0, -1]], "d": 1}]}],
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--model", "single_spin", "--z0", "0", "--t", "0.5", "--Q", "2",
      "--param", "a=1e300"],
     ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
-     "--t", "1e308", "--Q", "3"]], ids=["spin-a=1e300", "fermi-t=1e308"])
-def test_past_the_kernel_range_exit_code(argv, capsys, tmp_path):
-    # these printed nan rows with exit 0, or an OverflowError traceback
+     "--t", "1e308", "--Q", "3"],
+    ["evolve", "--model", "single_spin", "--z0", "0", "--t", "1e308", "--Q", "0"],
+    ["evolve", "--model", "growing-flip.json", "--z0", "0", "--t", "800", "--Q", "2"]],
+    ids=["spin-a=1e300", "fermi-t=1e308", "spin-t=1e308", "growing-flip-t=800"])
+def test_past_the_kernel_range_exit_code(argv, capsys, tmp_path, monkeypatch):
+    # these printed nan rows or amplitudes with no significant digit, with
+    # exit 0, or an OverflowError traceback
+    monkeypatch.chdir(tmp_path)
+    Path("growing-flip.json").write_text(json.dumps(GROWING_FLIP), encoding="utf-8")
     out = tmp_path / "out.csv"
     assert run([*argv, "--out", str(out)]) == 2
     assert _one_line_error(capsys)
@@ -249,6 +263,18 @@ def test_config_error_exit_code(tmp_path):
                 "--t", "0.1", "--Q", "1"]) == 2
     assert run(["evolve", "--model", "anharmonic", "--param", "n_max=9.7",
                 "--z0", "0", "--t", "0.1", "--Q", "1"]) == 2
+
+
+@pytest.mark.parametrize("term", [{"mapping": [10 ** 23, None]}, {"shift_map": 10 ** 23}],
+                         ids=["mapping", "shift_map"])
+def test_config_integer_past_int64_exit_code(term, tmp_path, capsys):
+    # an OverflowError traceback with exit 1 before; a config error now
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({
+        "dimension": 2, "energies": [0.0, 1.0],
+        "terms": [dict(term, factors=[{"lambda": 0, "d": 1}])]}), encoding="utf-8")
+    assert run(["evolve", "--model", str(cfg), "--z0", "0", "--t", "0.1", "--Q", "1"]) == 2
+    assert _one_line_error(capsys)
 
 
 def test_usage_error_exit_code():

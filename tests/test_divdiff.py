@@ -202,10 +202,10 @@ def test_batch_slices_each_row_at_its_own_count(monkeypatch):
     ran = []
     core = divdiff._exp_dd_core
 
-    def recorded(*args):
-        values, stats = core(*args)
-        ran.append(len(args[1]) * stats.table_ops)
-        return values, stats
+    def recorded(t, xt, mu, delta, n_slices):
+        values = core(t, xt, mu, delta, n_slices)
+        ran.append(xt.shape[1] * divdiff._table_ops(len(xt), n_slices))
+        return values
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
     values = exp_dd_batch(t, rows)
@@ -245,14 +245,16 @@ def test_batch_rejects_bad_time_arrays(times):
 
 
 @pytest.mark.parametrize("t, nodes", [(1e20, [1.0, 0.0]), (1.0, [1e40, 0.0]),
-                                      (1e308, [1.0, 0.0])])
+                                      (1e308, [1.0, 0.0]), (1e308, [10.0]),
+                                      (1e300, [10.0, 10.0]), (1e4, [1j])])
 def test_past_the_kernel_range_is_a_value_error(t, nodes):
     # t * spread * eps >= 1: these returned 3.2e46 (the modulus of the true
-    # value is at most 2), nan and nan
+    # value is at most 2), nan and nan.  t * |mean| * eps >= 1: nan, and a
+    # finite value whose phase kept no digit.  e^{1e4} overflows: inf.
     with pytest.raises(ValueError, match="range"):
         exp_dd(t, nodes)
     with pytest.raises(ValueError, match="range"):
-        exp_dd_batch(np.array([0.5, t]), [[1.0, 0.0], nodes])
+        exp_dd_batch(np.array([0.5, t]), [[1.0, 0.0][:len(nodes)], nodes])
 
 
 def test_kernel_range_ends_at_two_to_the_52_slices():
@@ -264,13 +266,14 @@ def test_kernel_range_ends_at_two_to_the_52_slices():
 
 
 def _full_row_last(t, x):
-    # every Taylor term updates all n entries of (B, n) rows started from
-    # e_0, and the whole top row is summed; the result is its last entry
-    mu, delta = divdiff._centered(x.T)
-    rows = np.zeros(x.shape, complex)
-    rows[:, 0] = 1.0
-    acc = divdiff._taylor(rows, -1j * t * delta.T, -1j * t, x.shape[1] + 17)
-    return acc[:, -1] * np.exp(-1j * t * mu)
+    # every Taylor term updates all n entries of node-major (n, B) rows
+    # started from e_0, and the whole top row is summed; the result is its
+    # last entry
+    mu, delta = divdiff._centered(np.ascontiguousarray(x.T))
+    rows = np.zeros(delta.shape, complex)
+    rows[0] = 1.0
+    acc = divdiff._taylor(rows, -1j * t * delta, -1j * t, x.shape[1] + 17)
+    return acc[-1] * np.exp(-1j * t * mu)
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
@@ -282,11 +285,28 @@ def test_one_slice_band_matches_full_row_update(decay):
         x = rng.uniform(-1.0, 1.0, (33, n)) - 1j * decay * rng.uniform(0.0, 1.0, (33, n))
         t = 0.999 / np.abs(x - x.mean(axis=1, keepdims=True)).max() if n > 1 else 0.7
         assert (divdiff._slice_exponents(t, x) == 0).all()
-        values, stats = divdiff._exp_dd_core(t, x, 1)
-        np.testing.assert_array_equal(values, _full_row_last(t, x))
+        np.testing.assert_array_equal(exp_dd_batch(t, x), _full_row_last(t, x))
         # the counted work is two operations per entry of each term's band
-        assert stats.table_ops == (1 if n == 1 else 2 * sum(
+        assert divdiff._table_ops(n, 1) == (1 if n == 1 else 2 * sum(
             rows.stop - rows.start for _, rows, _, _ in divdiff._taylor_band(n)))
+
+
+def test_one_slice_rows_are_centred_once(monkeypatch):
+    # the means and centred nodes that pick the slice counts feed the
+    # one-slice route: one centring pass per call, however many chunks
+    calls = []
+    centered = divdiff._centered
+    monkeypatch.setattr(divdiff, "_centered",
+                        lambda xt: calls.append(xt.shape) or centered(xt))
+    rng = np.random.default_rng(21)
+    for B, n in ((1, 1), (1, 6), (7, 2), (5000, 9)):
+        x = rng.uniform(-0.05, 0.05, (B, n)) - 0.01j * rng.uniform(0.0, 1.0, (B, n))
+        calls.clear()
+        exp_dd_batch(0.5, x)
+        assert calls == [(n, B)]
+    calls.clear()
+    exp_dd(0.5, [0.1, 0.2, 0.3])
+    assert calls == [(3, 1)]
 
 
 def test_stats_reports_power_of_two_slices():
