@@ -12,12 +12,12 @@ Every evaluation goes through ``exp_dd_batch``, which holds its rows
 node-major, an (n, B) array, from entry to result and centres them once
 on their means mu.  The time is split into s = 2^m slices with
 |tau (x_j - mu)| <= 1; one slice is the Taylor polynomial of degree
-n + 17 (n = q + 1 nodes), whose tail is below 1e-16 relative to every
-entry.  Only the top row is carried, and a row of one slice updates only
-the band of at most 19 entries its last entry reads.  Up to s = n slices
-a row is chained through the full O(n) update; past that its slice table
-is built once and squared m times, in extended precision.  Both reorder
-the nodes first, so that every run of consecutive nodes spans the cloud.
+n + E (n = q + 1 nodes, E = ``_EXTRA_DEGREE``), whose tail is below 1e-16
+relative to every entry.  Only the top row is carried, and a one-slice
+row updates only the band of at most E + 2 entries its last entry reads.
+Up to s = n slices a row is chained through the full O(n) update; past
+that its slice table is built once and squared m times, in extended
+precision.  Both first reorder the nodes so every run spans the cloud.
 The relative error grows as t * spread * eps, so a row past 2^52 slices,
 a phase t * |mu| past 2^52 or a value that overflows raises ValueError.
 
@@ -37,6 +37,16 @@ from .errors import DegenerateNodesError
 
 # Largest |tau * (x_j - mu)| one slice may cover.
 _SLICE_CAP = 1.0
+# Taylor degree past the node count: one slice over n nodes is the Taylor
+# polynomial of degree n + E, E = _EXTRA_DEGREE.  exp(-it Z) is
+# e^{-it mu} exp(-it (Z - mu)), so a slice is e^{-i tau mu} exp(bd + bs S)
+# with bd = -i tau (x - mu), bs = -i tau.  With |bd| <= _SLICE_CAP = 1,
+# Taylor term k adds at most tau^j / (j! (k - j)!) to entry j, whose value
+# is at least ~0.2 tau^j / j!, so the terms past degree n + E leave a tail
+# below 5 / (E + 2)! relative to each entry, ~4e-17 at E = 17.  A one-slice
+# row's last entry reads a band of E + 2 entries of each term
+# (``_taylor_band``).
+_EXTRA_DEGREE = 17
 # Most slices a row may need, 2^52, so t * spread stays below ~2^53.  The
 # result's relative error grows as t * spread * eps (against
 # ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
@@ -117,7 +127,7 @@ def _exponents(t, delta: np.ndarray) -> np.ndarray:
 def _squares(n_slices: int, n: int) -> bool:
     """Route choice: square a slice table instead of chaining row updates.
 
-    Chaining costs s (n + 17) O(n) row updates, squaring (n + 17) O(n^2)
+    Chaining costs s (n + E) O(n) row updates, squaring (n + E) O(n^2)
     table updates plus log2(s) O(n^3) products, in extended precision.
     Measured at B = 256 rows (n = 6 to 31), chaining stays the faster route
     up to s ~ 7n to 13n, with its largest array at B * n.  It stops at
@@ -133,16 +143,16 @@ def _table_ops(n: int, n_slices: int) -> int:
     """Table operations ``_exp_dd_core`` spends on one row of n nodes.
 
     Two operations per entry a Taylor term updates.  One slice updates only
-    the ``_taylor_band`` of each of its n + 17 terms, 19n - 1 entries in
-    all.  Chained slices update all n entries of every term; the squaring
-    route builds one n x n table the same way, then takes log2(n_slices)
-    products of n^3.  A single node is one exponential.
+    the ``_taylor_band`` of each of its n + E terms (E = ``_EXTRA_DEGREE``),
+    (E + 2) n - 1 entries in all.  Chained slices update all n entries of
+    every term; the squaring route builds one n x n table the same way, then
+    takes log2(n_slices) products of n^3.  A single node is one exponential.
     """
     if n == 1:
         return 1
     if n_slices == 1:
-        return 2 * (19 * n - 1)
-    degree = n + 17
+        return 2 * ((_EXTRA_DEGREE + 2) * n - 1)
+    degree = n + _EXTRA_DEGREE
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
     return n_slices * degree * 2 * n
@@ -191,20 +201,20 @@ def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _taylor_band(n: int) -> tuple:
-    """The band of each Taylor term k = 1 .. n + 17 of a one-slice row
-    whose last entry alone is read: (1/k, the buffer rows the term writes,
-    the node rows it reads (in a buffer, the previous term's entries one
-    below), whether it reaches the last entry).
+    """The band of each Taylor term k = 1 .. n + E of a one-slice row
+    (E = ``_EXTRA_DEGREE``) whose last entry alone is read: (1/k, the
+    buffer rows the term writes, the node rows it reads (in a buffer, the
+    previous term's entries one below), whether it reaches the last entry).
 
     Term k is zero past entry k, and its entry j reaches the last entry
-    only through n - 1 - j more terms, so entries with k - j > 18 are never
-    read (degree n + 17).  Term k spans entries max(0, k - 18) ..
-    min(k, n - 1), at most 19.  Buffer row j + 1 holds entry j; row 0 is a
-    zero pad, so the shifted add needs no special first entry.
+    only through n - 1 - j more terms, so entries with k - j > E + 1 are
+    never read (degree n + E).  Term k spans entries max(0, k - E - 1) ..
+    min(k, n - 1), at most E + 2.  Buffer row j + 1 holds entry j; row 0 is
+    a zero pad, so the shifted add needs no special first entry.
     """
     steps = []
-    for k in range(1, n + 18):
-        lo, hi = max(0, k - 18), min(k, n - 1) + 1
+    for k in range(1, n + _EXTRA_DEGREE + 1):
+        lo, hi = max(0, k - _EXTRA_DEGREE - 1), min(k, n - 1) + 1
         # a 0-d array operand costs numpy less than a Python scalar
         inv_k = np.array(1.0 / k, dtype=complex)
         inv_k.setflags(write=False)
@@ -214,7 +224,7 @@ def _taylor_band(n: int) -> tuple:
 
 def _taylor_last(bd: np.ndarray, bs) -> np.ndarray:
     """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
-    (n, B) with n >= 2, by its Taylor polynomial of degree n + 17.
+    (n, B) with n >= 2, by its Taylor polynomial of degree n + E.
 
     Each term updates only its ``_taylor_band``, with the operations of
     ``_taylor`` started from e_0, in the same order, so the last entry is
@@ -252,11 +262,7 @@ def _exp_dd_core(t, xt: np.ndarray, mu: np.ndarray, delta: np.ndarray,
     ``_table_ops``).  Only ``exp_dd_batch`` calls it.
     """
     n = len(xt)
-    # exp(-it Z) = e^{-it mu} exp(-it (Z - mu)); one slice is
-    # e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu), bs = -i tau.
-    # With |bd| <= 1, Taylor term k adds at most tau^j / (j! (k - j)!) to
-    # entry j, whose value is at least ~0.2 tau^j / j!; degree n + 17 so
-    # leaves a tail below 5 / 19! ~ 4e-17 relative to each entry.
+    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA_DEGREE``
     if n == 1:
         return np.exp(-1j * t * mu)
     if n_slices == 1:
@@ -274,12 +280,12 @@ def _exp_dd_core(t, xt: np.ndarray, mu: np.ndarray, delta: np.ndarray,
         rows = np.zeros(xt.shape, dtype=complex)
         rows[0] = 1.0
         for _ in range(n_slices):
-            rows = _taylor(rows, bd, bs, n + 17) * phase
+            rows = _taylor(rows, bd, bs, n + _EXTRA_DEGREE) * phase
         return rows[-1]
     # table[j, i, b] is entry (i, j) of row b's slice table, and matmul
     # reads its matrices on axes (1, 0)
     eye = np.broadcast_to(np.eye(n, dtype=delta.dtype)[:, :, None], (n, n, len(mu)))
-    table = _taylor(eye, bd[:, None], bs, n + 17) * phase
+    table = _taylor(eye, bd[:, None], bs, n + _EXTRA_DEGREE) * phase
     for _ in range(n_slices.bit_length() - 1):
         table = np.matmul(table, table, axes=[(1, 0)] * 3)
     return table[-1, 0].astype(complex)

@@ -20,10 +20,10 @@ on z' makes the child y' = sort((y - lam) u {E_z'}): every earlier node
 shifts by the step's rate and the landing energy joins the list.  Divided
 differences are symmetric in their nodes, so rows whose (z, y) are
 bit-identical merge by summing their weights, which changes no value.  A
-step whose permutation image leaves the basis, or whose d diagonal
-vanishes at the landing state, is pruned.  Children are visited
-depth-first in blocks of ``_BLOCK_ROWS`` rows, so the working set stays
-bounded at every order.
+step off the basis, or whose d diagonal vanishes at the landing state,
+is pruned by one rule (``_steps``) over the model's ``step_tables``, the
+one format every route reads.  Children are visited depth-first in
+blocks of ``_BLOCK_ROWS`` rows, so the working set stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
 per call.  ``evolve_by_order`` adds each child's cost at the kernel's own
@@ -61,11 +61,9 @@ class Path:
 
     ``terms`` holds 1-based permutation-term indices (i_1..i_q) and
     ``factors`` the aligned 1-based exponential-sum factor indices
-    (k_1..k_q); ``trajectory`` caches the visited states including the
-    origin, so it always has length q + 1 and is defined by construction.
+    (k_1..k_q); ``trajectory`` the q + 1 visited states, from the start.
     """
 
-    origin: int
     terms: tuple
     factors: tuple
     trajectory: tuple
@@ -74,7 +72,7 @@ class Path:
         if len(self.terms) != len(self.factors):
             raise ValueError("terms and factors must have equal length")
         if len(self.trajectory) != len(self.terms) + 1:
-            raise ValueError("trajectory must hold one state per step plus the origin")
+            raise ValueError("trajectory must hold one state per step plus the start")
 
     @property
     def order(self) -> int:
@@ -106,8 +104,9 @@ class StateVector:
 def _step_entries(table: np.ndarray, path: Path) -> list:
     """Entry [i - 1, k - 1, z] of an (M, K, D) step table (``step_tables``)
     for each step (i, k) of the path, read at its landing state z."""
-    if not all(1 <= i <= len(table) for i in path.terms):
-        raise ValueError(f"path term index outside [1, {len(table)}]")
+    M, K, _ = table.shape
+    if not all(1 <= i <= M and 1 <= k <= K for i, k in zip(path.terms, path.factors)):
+        raise ValueError(f"path term or factor index outside [1, {M}] x [1, {K}]")
     return [table[i - 1, k - 1, z]
             for i, k, z in zip(path.terms, path.factors, path.trajectory[1:])]
 
@@ -115,8 +114,6 @@ def _step_entries(table: np.ndarray, path: Path) -> list:
 def _suffix_lambda_sums(model: HamiltonianModel, path: Path) -> np.ndarray:
     """S_j = sum_{l > j} lam_l for j = 0..q (S_q = 0)."""
     lam = np.array(_step_entries(model.step_tables[1], path), dtype=complex)
-    if lam.size == 0:
-        return np.zeros(1, dtype=complex)
     return np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
 
 
@@ -188,15 +185,22 @@ def _over_budget(work: int, order: int) -> CapacityError:
 def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     """All defined, non-vanishing paths of order <= max_order from |z>.
 
-    Depth-first over (term, factor) steps: a step whose permutation image
-    leaves the basis, or whose d diagonal vanishes at the landing state, is
-    pruned with its subtree.  Each path counts its one-slice kernel cost
-    against the work budget; the generator raises CapacityError at the
-    path that passes it.
+    Depth-first over (term, factor) steps in term-then-factor order, by the
+    frontier's step rule (``_steps``): a step off the basis, or whose d
+    diagonal vanishes at the landing state, is pruned with its subtree.
+    Each path counts its one-slice kernel cost against the work budget; the
+    generator raises CapacityError at the path that passes it.
     """
     _check_index(model, z)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
+    targets, _, d = model.step_tables
+    landing, _, kept = _steps(targets, d, np.arange(model.dimension))
+    landing = landing.tolist()
+    # each state's (i, k, landing state) steps, as Python ints
+    steps = [[] for _ in range(model.dimension)]
+    for m, k, source in np.transpose(kept).tolist():
+        steps[source].append((m + 1, k + 1, landing[m][source]))
     work = 0
 
     def walk(terms, factors, trajectory):
@@ -204,17 +208,11 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
         work += _table_ops(len(trajectory), 1)
         if work > _WORK_LIMIT:
             raise _over_budget(work, len(terms))
-        yield Path(origin=z, terms=terms, factors=factors, trajectory=trajectory)
+        yield Path(terms=terms, factors=factors, trajectory=trajectory)
         if len(terms) == max_order:
             return
-        for i, term in enumerate(model.terms, start=1):
-            nxt = term.perm.apply(trajectory[-1])
-            if nxt is None:
-                continue
-            for k, factor in enumerate(term.factors, start=1):
-                if factor.d[nxt] != 0:
-                    yield from walk(terms + (i,), factors + (k,),
-                                    trajectory + (nxt,))
+        for i, k, nxt in steps[trajectory[-1]]:
+            yield from walk(terms + (i,), factors + (k,), trajectory + (nxt,))
 
     yield from walk((), (), (z,))
 
@@ -241,12 +239,19 @@ def _merged(rows: _Rows) -> _Rows:
     return rows.take(first)._replace(weight=weight)
 
 
+def _steps(targets, d, z: np.ndarray):
+    """The step rule: landing states (M, R) and d there (M, K, R) from each
+    state in z (R,), and the (term, factor, row) of the steps with target
+    >= 0 and d != 0, in that order."""
+    M, K, _ = d.shape
+    zc = targets[:, z]
+    dc = d[np.arange(M)[:, None, None], np.arange(K)[:, None], zc[:, None, :]]
+    return zc, dc, np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
+
+
 def _children(rows: _Rows, energies: np.ndarray, targets, lam, d) -> _Rows:
     """Every defined, non-vanishing (term, factor) step from every row."""
-    M, K, _ = d.shape
-    zc = targets[:, rows.z]                                    # (M, R)
-    dc = d[np.arange(M)[:, None, None], np.arange(K)[:, None], zc[:, None, :]]
-    m, k, r = np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
+    zc, dc, (m, k, r) = _steps(targets, d, rows.z)
     z = zc[m, r]
     y = np.sort(np.column_stack([rows.y[r] - lam[m, k, z][:, None],
                                  energies[z]]), axis=1)

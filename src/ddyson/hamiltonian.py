@@ -46,11 +46,6 @@ class PermutationMap:
     def dimension(self) -> int:
         return self.targets.size
 
-    def apply(self, z: int):
-        """Image of z, or None when the image leaves the basis."""
-        tgt = int(self.targets[z])
-        return None if tgt < 0 else tgt
-
     @classmethod
     def identity(cls, dimension: int) -> "PermutationMap":
         return cls(np.arange(dimension, dtype=np.int64))
@@ -169,7 +164,10 @@ class HamiltonianModel:
     @cached_property
     def step_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Permutation targets (M, D) and factor diagonals lam, d (M, K, D),
-        0-based in term and factor; built on first use, read-only."""
+        0-based in term and factor; built on first use, read-only.  Every
+        evaluation reads the model through these: a step from z by term i,
+        factor k lands on targets[i, z] (-1: off the basis), with lam[i, k]
+        and d[i, k] read there."""
         tables = (np.stack([tm.perm.targets for tm in self.terms]),
                   np.array([[f.lam for f in tm.factors] for tm in self.terms]),
                   np.array([[f.d for f in tm.factors] for tm in self.terms]))
@@ -185,9 +183,8 @@ def _check_index(model: HamiltonianModel, z: int) -> None:
 
 def is_time_independent(model: HamiltonianModel) -> bool:
     """True when V carries no time dependence (K = 1 and all lam = 0)."""
-    if model.n_factors != 1:
-        return False
-    return all(np.all(tm.factors[0].lam == 0) for tm in model.terms)
+    lam = model.step_tables[1]
+    return lam.shape[1] == 1 and not lam.any()
 
 
 def eval_V(model: HamiltonianModel, t) -> np.ndarray:
@@ -198,13 +195,11 @@ def eval_V(model: HamiltonianModel, t) -> np.ndarray:
     t = _check_time(t)
     D = model.dimension
     V = np.zeros((D, D), dtype=complex)
-    for tm in model.terms:
-        src = np.nonzero(tm.perm.targets >= 0)[0]
-        if src.size == 0:
-            continue
-        dst = tm.perm.targets[src]
-        for f in tm.factors:
-            V[dst, src] += np.exp(1j * f.lam[dst] * t) * f.d[dst]
+    for targets, lam, d in zip(*model.step_tables):
+        src = np.nonzero(targets >= 0)[0]
+        dst = targets[src]
+        for lam_k, d_k in zip(lam, d):
+            V[dst, src] += np.exp(1j * lam_k[dst] * t) * d_k[dst]
     return V
 
 

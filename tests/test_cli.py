@@ -283,6 +283,26 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0.5", "--Q", "3,4"],
+    ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0.5", "--Q", "-1"],
+    ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+     "--t", "0.5", "--Q", "3,4"],
+    ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+     "--t", "0:1:3", "--Q", "3"],
+    ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+     "--t", "inf", "--Q", "3"],
+], ids=["evolve-Q-list", "evolve-Q-negative", "amplitude-Q-list",
+        "amplitude-t-grid", "amplitude-t-inf"])
+def test_single_value_options_are_usage_errors(argv, capsys):
+    # evolve --Q, amplitude --t and amplitude --Q take one value each, and
+    # the parser refuses more before any model is built
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid", ["inf", "nan", "0:inf:3", "-inf:0:3",
                                   "0:nan:3", "-1e308:1e308:3"])
 def test_nonfinite_times_are_usage_errors(grid):

@@ -272,7 +272,8 @@ def _full_row_last(t, x):
     mu, delta = divdiff._centered(np.ascontiguousarray(x.T))
     rows = np.zeros(delta.shape, complex)
     rows[0] = 1.0
-    acc = divdiff._taylor(rows, -1j * t * delta, -1j * t, x.shape[1] + 17)
+    acc = divdiff._taylor(rows, -1j * t * delta, -1j * t,
+                          x.shape[1] + divdiff._EXTRA_DEGREE)
     return acc[-1] * np.exp(-1j * t * mu)
 
 

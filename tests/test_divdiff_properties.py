@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from ddyson import (CapacityError, SingleSpinParams, build_single_spin, eval_H, evolve_ti,
                     exp_dd, exp_dd_stats)
-from ddyson import oracles
+from ddyson import divdiff, oracles
 from ddyson.oracles import exp_dd_highprec
 
 
@@ -85,7 +85,8 @@ def test_long_time_work_grows_with_log_slices(nodes, log_scale):
     # twice the time is one more squaring of an n x n table, not twice the work
     assert doubled.n_slices == 2 * stats.n_slices
     assert doubled.table_ops - stats.table_ops <= n ** 3
-    assert stats.table_ops <= 2 * (n + 17) * n * n + math.log2(stats.n_slices) * n ** 3
+    degree = n + divdiff._EXTRA_DEGREE
+    assert stats.table_ops <= 2 * degree * n * n + math.log2(stats.n_slices) * n ** 3
 
 
 def test_long_time_three_nodes():

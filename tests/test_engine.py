@@ -207,6 +207,65 @@ def test_enumerate_prunes_boundary_and_zero_d():
         assert d_product(m, p) != 0
 
 
+def _object_walk(model, z, max_order):
+    # depth-first over the model.term(i) objects: a step is kept where the
+    # permutation image stays in the basis and d is nonzero there
+    out = []
+
+    def walk(terms, factors, trajectory):
+        out.append((terms, factors, trajectory))
+        if len(terms) == max_order:
+            return
+        for i in range(1, model.n_terms + 1):
+            term = model.term(i)
+            nxt = int(term.perm.targets[trajectory[-1]])
+            if nxt < 0:
+                continue
+            for k, factor in enumerate(term.factors, start=1):
+                if factor.d[nxt] != 0:
+                    walk(terms + (i,), factors + (k,), trajectory + (nxt,))
+
+    walk((), (), (z,))
+    return out
+
+
+def _with_holes(model, rng):
+    # a quarter of the images sent off the basis, a quarter of the d zeroed
+    terms = tuple(PermutationTerm(
+        perm=PermutationMap(np.where(rng.random(model.dimension) < 0.25, -1,
+                                     tm.perm.targets)),
+        factors=tuple(ExpSumFactor(lam=f.lam, d=np.where(
+            rng.random(model.dimension) < 0.25, 0, f.d)) for f in tm.factors))
+        for tm in model.terms)
+    return HamiltonianModel(energies=model.energies, terms=terms)
+
+
+def test_enumerate_paths_match_object_walk():
+    # the per-source steps built from step_tables give the same paths, in
+    # the same order, as a walk over the term objects
+    rng = np.random.default_rng(38)
+    models = [build_anharmonic(AnharmonicParams(omega=1.3, Omega=1.7,
+                                                gamma_eff=0.02, n_max=9))]
+    for _ in range(12):
+        m = random_model(rng, dim=int(rng.integers(2, 6)),
+                         n_terms=int(rng.integers(1, 4)),
+                         n_factors=int(rng.integers(1, 4)))
+        models += [m, _with_holes(m, rng)]
+    pruned = set()
+    for index, m in enumerate(models):
+        full = sum((m.n_terms * m.n_factors) ** q for q in range(4))
+        for z in range(m.dimension):
+            want = _object_walk(m, z, 3)
+            got = [(p.terms, p.factors, p.trajectory) for p in enumerate_paths(m, z, 3)]
+            assert got == want
+            assert all(type(v) is int for p in got for v in p[2])
+            if len(want) < full:
+                pruned.add(index)
+    # the anharmonic model's boundary and zero-d steps are pruned, and so
+    # are the holes of most holed models
+    assert 0 in pruned and len(pruned) > 6
+
+
 def test_capacity_guard():
     m = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
                                           gamma_eff=0.02, n_max=9))
@@ -318,10 +377,10 @@ def test_step_reads_match_term_lookups():
     for p in enumerate_paths(m, 2, 3):
         assert engine._suffix_lambda_sums(m, p).tobytes() == suffix_sums(m, p).tobytes()
         assert d_product(m, p) == d_loop(m, p)
-    # a term index outside [1, M] is an error, as for model.term, not a
-    # wrapped-around read of another term
-    for i in (0, 4):
-        bad = engine.Path(origin=2, terms=(i,), factors=(1,), trajectory=(2, 3))
+    # a term index outside [1, M] or a factor index outside [1, K] is an
+    # error, as for model.term, not a wrapped-around read of another entry
+    for i, k in ((0, 1), (4, 1), (1, 0), (1, 4)):
+        bad = engine.Path(terms=(i,), factors=(k,), trajectory=(2, 3))
         for read in (d_product, y_inputs):
             with pytest.raises(ValueError):
                 read(m, bad)
@@ -472,18 +531,24 @@ def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
         return values
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
-    evolve_by_order(model, z0, t, Q)
-    kernel_work = sum(ran)
-    # the count equals the kernel's work: a budget of exactly that admits
-    # the run, and a budget one below it is passed before the kernel has
-    # run past it
-    monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work)
-    evolve_by_order(model, z0, t, Q)
-    monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work - 1)
-    ran.clear()
-    with pytest.raises(CapacityError):
-        evolve_by_order(model, z0, t, Q)
-    assert sum(ran) <= kernel_work - 1
+    limit = engine._WORK_LIMIT
+    # in both pictures: the interaction picture shifts each row by -E_z,
+    # which moves no node relative to its row's mean but by rounding
+    for picture in PICTURES:
+        monkeypatch.setattr(engine, "_WORK_LIMIT", limit)
+        ran.clear()
+        evolve_by_order(model, z0, t, Q, picture)
+        kernel_work = sum(ran)
+        # the count equals the kernel's work: a budget of exactly that
+        # admits the run, and a budget one below it is passed before the
+        # kernel has run past it
+        monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work)
+        evolve_by_order(model, z0, t, Q, picture)
+        monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work - 1)
+        ran.clear()
+        with pytest.raises(CapacityError):
+            evolve_by_order(model, z0, t, Q, picture)
+        assert sum(ran) <= kernel_work - 1
 
 
 def test_work_budget_calibration(monkeypatch):

@@ -20,6 +20,7 @@ from ddyson import (
     path_energies,
 )
 from ddyson.models import FermiParams
+from ddyson.validate import random_model
 
 from conftest import quartic_block
 
@@ -28,20 +29,17 @@ from conftest import quartic_block
 
 def test_shift_map_prunes_outside_basis():
     p = PermutationMap.from_shift(6, -4)
-    assert p.apply(4) == 0
-    assert p.apply(3) is None
-    assert p.apply(5) == 1
+    assert p.targets.tolist() == [-1, -1, -1, -1, 0, 1]
 
 
 def test_identity_map():
     p = PermutationMap.identity(4)
-    assert [p.apply(z) for z in range(4)] == [0, 1, 2, 3]
+    assert p.targets.tolist() == [0, 1, 2, 3]
 
 
 def test_mapping_with_undefined_entries():
     p = PermutationMap.from_mapping([2, None, 0])
-    assert p.apply(0) == 2
-    assert p.apply(1) is None
+    assert p.targets.tolist() == [2, -1, 0]
 
 
 def test_non_injective_mapping_rejected():
@@ -112,6 +110,29 @@ def test_single_spin_H_decaying_envelope():
 def test_single_spin_a_only_diagonal():
     m = build_single_spin(SingleSpinParams(a=1.0, b=0.0))
     assert np.allclose(eval_H(m, 2.7), np.diag([1.0, -1.0]))
+
+
+def test_eval_V_matches_object_walk():
+    # V built over the model.term(i) objects; the step tables are read in
+    # the same term-then-factor order, so V is the same to the bit
+    def object_V(model, t):
+        V = np.zeros((model.dimension, model.dimension), dtype=complex)
+        for i in range(1, model.n_terms + 1):
+            term = model.term(i)
+            src = np.nonzero(term.perm.targets >= 0)[0]
+            dst = term.perm.targets[src]
+            for f in term.factors:
+                V[dst, src] += np.exp(1j * f.lam[dst] * t) * f.d[dst]
+        return V
+
+    rng = np.random.default_rng(39)
+    models = [random_model(rng, dim=5, n_terms=4, n_factors=3) for _ in range(5)]
+    models += [build_anharmonic(AnharmonicParams(omega=1.3, Omega=1.7,
+                                                 gamma_eff=0.02, n_max=9)),
+               build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))]
+    for m in models:
+        for t in (0.0, 0.37, 2.5):
+            assert eval_V(m, t).tobytes() == object_V(m, t).tobytes()
 
 
 def test_anharmonic_V_at_zero_matches_ladder_block():
