@@ -46,13 +46,17 @@ def _parse_time_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise argparse.ArgumentTypeError("time grid must be 'start:stop:steps'")
-    ends = [float(v) for v in parts[:2]]
+    try:
+        ends = [float(v) for v in parts[:2]]
+        steps = int(parts[2]) if len(parts) == 3 else None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"times must be numbers and steps an integer, got '{text}'") from exc
     # a non-finite start, stop or span gives a nan or inf difference
     if not math.isfinite(ends[-1] - ends[0]):
         raise argparse.ArgumentTypeError(f"times must be finite, got '{text}'")
-    if len(parts) == 1:
+    if steps is None:
         return ends
-    steps = int(parts[2])
     if not 2 <= steps <= _MAX_TIME_STEPS or not ends[1] > ends[0]:
         raise argparse.ArgumentTypeError(
             f"time grid needs 2 <= steps <= {_MAX_TIME_STEPS} and stop > start")
@@ -60,7 +64,10 @@ def _parse_time_grid(text: str) -> list[float]:
 
 
 def _parse_time(text: str) -> float:
-    t = float(text)
+    try:
+        t = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"time must be a number, got '{text}'") from exc
     if not math.isfinite(t):
         raise argparse.ArgumentTypeError(f"time must be finite, got '{text}'")
     return t
@@ -201,12 +208,13 @@ def _cmd_amplitude(args) -> int:
     model = _resolve_model(args.model, dict(args.param), z0=args.zin,
                            max_order=q_max)
 
+    # the engine first: it raises CapacityError before a run past its
+    # budget, and the closed forms cost about what its rows cost
+    amps = amplitude_by_order(model, args.zin, args.zfin, t, q_max)
     closed = None
     if args.model == "fermi":
         fp = fermi_params(dict(args.param))
         closed = [fermi_amplitude_closed_form(fp, q, t) for q in range(q_max + 1)]
-
-    amps = amplitude_by_order(model, args.zin, args.zfin, t, q_max)
     cum = np.cumsum(amps)
     rows = []
     for q in range(q_max + 1):

@@ -48,7 +48,7 @@ from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
 # Kernel table operations one call may spend, ~2.0e8.  The oscillator
 # (z0 = 4, t = 0.06) passes at Q = 7 (1.67e8 operations at the banded
 # one-slice count, ~1.3 s on 2 cores); inputs past the budget raise within
-# ~1 s.
+# ~1 s, or ~3 s where rows take the squaring route (long-time fermi).
 _WORK_LIMIT = 3 * 2 ** 26
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
@@ -101,26 +101,36 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _step_entries(table: np.ndarray, path: Path) -> list:
-    """Entry [i - 1, k - 1, z] of an (M, K, D) step table (``step_tables``)
-    for each step (i, k) of the path, read at its landing state z."""
-    M, K, _ = table.shape
+def _step_entries(model: HamiltonianModel, which: int, path: Path) -> list:
+    """Entry [i - 1, k - 1, z] of step table ``model.step_tables[which]``
+    for each step (i, k) of the path, read at its landing state z.
+
+    Raises ValueError unless every index is in range and each landing state
+    is the term's image of the state before it.
+    """
+    targets, table = model.step_tables[0], model.step_tables[which]
+    M, K, D = table.shape
+    states = path.trajectory
     if not all(1 <= i <= M and 1 <= k <= K for i, k in zip(path.terms, path.factors)):
         raise ValueError(f"path term or factor index outside [1, {M}] x [1, {K}]")
+    if not (all(0 <= z < D for z in states)
+            and all(targets[i - 1, a] == b
+                    for i, a, b in zip(path.terms, states, states[1:]))):
+        raise ValueError(f"path trajectory {states} is not the walk of terms {path.terms}")
     return [table[i - 1, k - 1, z]
-            for i, k, z in zip(path.terms, path.factors, path.trajectory[1:])]
+            for i, k, z in zip(path.terms, path.factors, states[1:])]
 
 
 def _suffix_lambda_sums(model: HamiltonianModel, path: Path) -> np.ndarray:
     """S_j = sum_{l > j} lam_l for j = 0..q (S_q = 0)."""
-    lam = np.array(_step_entries(model.step_tables[1], path), dtype=complex)
+    lam = np.array(_step_entries(model, 1, path), dtype=complex)
     return np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
 
 
 def y_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
     """Schrodinger-picture nodes y_j = E_j - sum_{l>j} lam_l, j = 0..q."""
-    energies = path_energies(model, path.trajectory).astype(complex)
-    return energies - _suffix_lambda_sums(model, path)
+    sums = _suffix_lambda_sums(model, path)
+    return path_energies(model, path.trajectory).astype(complex) - sums
 
 
 def x_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
@@ -134,7 +144,7 @@ def x_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
 def d_product(model: HamiltonianModel, path: Path) -> complex:
     """Product of the d diagonals read at each step's landing state."""
     out = 1.0 + 0j
-    for d in _step_entries(model.step_tables[2], path):
+    for d in _step_entries(model, 2, path):
         out *= d
     return complex(out)
 
@@ -188,33 +198,31 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     Depth-first over (term, factor) steps in term-then-factor order, by the
     frontier's step rule (``_steps``): a step off the basis, or whose d
     diagonal vanishes at the landing state, is pruned with its subtree.
-    Each path counts its one-slice kernel cost against the work budget; the
-    generator raises CapacityError at the path that passes it.
+    One explicit stack holds the paths to yield, each state's steps pushed
+    in reverse so they pop in order.  Each path counts its one-slice kernel
+    cost against the work budget; the generator raises CapacityError at the
+    path that passes it.
     """
     _check_index(model, z)
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     targets, _, d = model.step_tables
     landing, _, kept = _steps(targets, d, np.arange(model.dimension))
-    landing = landing.tolist()
-    # each state's (i, k, landing state) steps, as Python ints
+    # each state's (i, k, landing state) steps, reversed, as Python ints
     steps = [[] for _ in range(model.dimension)]
-    for m, k, source in np.transpose(kept).tolist():
-        steps[source].append((m + 1, k + 1, landing[m][source]))
+    for m, k, source in np.transpose(kept)[::-1].tolist():
+        steps[source].append((m + 1, k + 1, int(landing[m, source])))
     work = 0
-
-    def walk(terms, factors, trajectory):
-        nonlocal work
+    stack = [((), (), (z,))]
+    while stack:
+        terms, factors, trajectory = stack.pop()
         work += _table_ops(len(trajectory), 1)
         if work > _WORK_LIMIT:
             raise _over_budget(work, len(terms))
         yield Path(terms=terms, factors=factors, trajectory=trajectory)
-        if len(terms) == max_order:
-            return
-        for i, k, nxt in steps[trajectory[-1]]:
-            yield from walk(terms + (i,), factors + (k,), trajectory + (nxt,))
-
-    yield from walk((), (), (z,))
+        if len(terms) < max_order:
+            stack.extend((terms + (i,), factors + (k,), trajectory + (nxt,))
+                         for i, k, nxt in steps[trajectory[-1]])
 
 
 class _Rows(NamedTuple):

@@ -8,8 +8,8 @@ produces, by entirely different numerical routes:
   as q spectral antiderivatives on one 32-point Gauss-Legendre rule: the
   Hermite-Genocchi left-hand side that the kernel evaluates in closed form.
 * ``ode_evolve``: direct adaptive Runge-Kutta integration of
-  i dpsi/dt = H(t) psi.  Its right-hand side is one gather over a stack
-  of (term, factor) rows indexed by landing state, and it raises
+  i dpsi/dt = H(t) psi.  Its right-hand side is one sum over a stack of
+  gather rows indexed by landing state, the diagonal first, and it raises
   ``CapacityError`` past ``_ODE_MAX_EVALUATIONS`` evaluations or where
   the model's energy scale overflows the step-size control.
 * ``mat_exp_evolve``: e^{-i H t} |z0> by a dense matrix exponential for
@@ -104,7 +104,9 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
                tol: float = 1e-10) -> StateVector:
     """Schrodinger solution |psi(t)> from |z0> by adaptive 4th/5th-order stepping.
 
-    Raises CapacityError after ``_ODE_MAX_EVALUATIONS`` right-hand-side
+    H(t) psi is one sum over a stack of gather rows indexed by landing
+    state: the diagonal first, then one row per (term, factor).  Raises
+    CapacityError after ``_ODE_MAX_EVALUATIONS`` right-hand-side
     evaluations, or where the integration overflows.
     """
     from scipy.integrate import solve_ivp
@@ -120,20 +122,19 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     if t == 0.0:
         return StateVector(psi0, 0.0)
 
-    # one row per (term, factor), indexed by landing state: its source,
-    # d and i lam there, all zero where the state has no preimage
+    # gather rows indexed by landing state, each a source, a coefficient
+    # and a rate: row 0 is the diagonal (z, E_z, 0), then one row per
+    # (term, factor) with the preimage, d and i lam there, all zero where
+    # the state has no preimage
     targets, lam, d = model.step_tables
     M, K, D = d.shape
+    preimage = np.full((M, K, D), -1)
     term, src = np.nonzero(targets >= 0)
-    dst = targets[term, src]
-    source = np.zeros((M, K, D), dtype=np.int64)
-    d_rows, ilam_rows = np.zeros((2, M, K, D), dtype=complex)
-    source[term, :, dst] = src[:, None]
-    d_rows[term, :, dst] = d[term, :, dst]
-    ilam_rows[term, :, dst] = 1j * lam[term, :, dst]
-    source, d_rows, ilam_rows = (a.reshape(M * K, D)
-                                 for a in (source, d_rows, ilam_rows))
-    energies = model.energies
+    preimage[term, :, targets[term, src]] = src[:, None]
+    hit = preimage >= 0
+    source, coeff, rate = (
+        np.vstack([first, np.where(hit, rows, 0).reshape(M * K, D)]) for first, rows in
+        ((np.arange(D), preimage), (model.energies, d), (np.zeros(D), 1j * lam)))
     calls = 0
 
     def rhs(tt, psi):
@@ -144,9 +145,8 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
                 f"adaptive integration to t = {t:g} took more than "
                 f"{_ODE_MAX_EVALUATIONS} right-hand-side evaluations; "
                 "reduce the time or the model's energy scale")
-        # the rows added in term, factor order, as H psi entry by entry
-        return -1j * functools.reduce(
-            np.add, np.exp(ilam_rows * tt) * d_rows * psi[source], energies * psi)
+        # H psi: the rows summed in order, diagonal first
+        return -1j * (np.exp(rate * tt) * coeff * psi[source]).sum(axis=0)
 
     try:
         # an energy scale near the float range overflows the step-size

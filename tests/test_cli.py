@@ -254,6 +254,20 @@ def test_past_the_kernel_range_exit_code(argv, capsys, tmp_path, monkeypatch):
                 "--t", "6e4", "--Q", "3", "--out", str(out)]) == 0
 
 
+def test_amplitude_budget_is_checked_before_closed_forms(capsys, tmp_path):
+    # the fermi closed forms are unbudgeted kernel calls: run before the
+    # engine, they took ~28 s on 2 cores where the engine alone refuses in ~3 s
+    out = tmp_path / "out.csv"
+    start = time.perf_counter()
+    assert run(["amplitude", "--model", "fermi", "--param", "e_in=0.0",
+                "--param", "e_fin=0.8", "--param", "e_drive=0.8",
+                "--param", "gamma=1e-5", "--zin", "0", "--zfin", "1",
+                "--t", "6e4", "--Q", "161", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 10.0
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     assert run(["evolve", "--model", "unknown_model", "--z0", "0",
                 "--t", "0.1", "--Q", "1"]) == 2
@@ -301,6 +315,21 @@ def test_single_value_options_are_usage_errors(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+     "--t", "abc", "--Q", "3"],
+    ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "abc", "--Q", "1"],
+    ["infidelity-sweep", *SPIN_ARGS, "--z0", "0", "--t", "0:1:x", "--Q", "1"],
+], ids=["amplitude-t", "evolve-t", "sweep-steps"])
+def test_non_numeric_times_are_usage_errors(argv, capsys):
+    # the message reads as the option's, not the parser function's name
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --t:" in err and "_parse" not in err
 
 
 @pytest.mark.parametrize("grid", ["inf", "nan", "0:inf:3", "-inf:0:3",

@@ -378,9 +378,18 @@ def test_step_reads_match_term_lookups():
         assert engine._suffix_lambda_sums(m, p).tobytes() == suffix_sums(m, p).tobytes()
         assert d_product(m, p) == d_loop(m, p)
     # a term index outside [1, M] or a factor index outside [1, K] is an
-    # error, as for model.term, not a wrapped-around read of another entry
-    for i, k in ((0, 1), (4, 1), (1, 0), (1, 4)):
-        bad = engine.Path(terms=(i,), factors=(k,), trajectory=(2, 3))
+    # error, as for model.term, not a wrapped-around read of another entry;
+    # each trajectory is the walk of the term a wrapped-around read would use
+    targets = m.step_tables[0]
+    bad_paths = [engine.Path(terms=(i,), factors=(k,),
+                             trajectory=(2, int(targets[(i - 1) % 3, 2])))
+                 for i, k in ((0, 1), (4, 1), (1, 0), (1, 4))]
+    # so is a trajectory that is not the terms' walk (term 1 maps 2 to 2),
+    # or a state outside [0, D), which read another state or raised IndexError
+    bad_paths += [engine.Path(terms=(1,), factors=(1,), trajectory=(2, z))
+                  for z in (0, -1, 7)]
+    bad_paths.append(engine.Path(terms=(), factors=(), trajectory=(5,)))
+    for bad in bad_paths:
         for read in (d_product, y_inputs):
             with pytest.raises(ValueError):
                 read(m, bad)
