@@ -28,6 +28,7 @@ restricted to well-separated nodes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -86,6 +87,18 @@ def as_nodes(inputs) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("divided-difference inputs must be finite")
     return arr
+
+
+def _check_int(value, name: str, low: int = 0) -> int:
+    """``value`` as an int >= low (numpy integers and bools pass through
+    ``operator.index``); ValueError for anything else."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+    return value
 
 
 def _check_time(t) -> float:

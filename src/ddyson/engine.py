@@ -4,26 +4,26 @@ Each expansion order q contributes one path per multi-index
 (i_1..i_q, k_1..k_q): a walk through the basis picking one permutation
 term and one exponential-sum factor at every step.  The time-ordered
 Dyson integral for a path collapses to a single divided-difference
-exponential over the Schrodinger-picture nodes y_j = E_j - sum_{l>j} lam_l
-(energies and diagonals read along the trajectory), or over the
-interaction-picture nodes x_j = y_j - E_final, whose last is 0:
+exponential over the Schrodinger-picture nodes y_j = E_j - sum_{l>j} lam_l or
+the interaction-picture nodes x_j = (E_j - E_final) - sum_{l>j} lam_l (x_q = 0):
 
     alpha = (prod_j d_j) * e^{-i t [x_0, ..., x_{q-1}, 0]}
     beta  = alpha * e^{-i t E_final} = (prod_j d_j) * e^{-i t [y_0, ..., y_q]}
 
 ``enumerate_paths`` with ``alpha``/``beta`` evaluates this one path at a
 time, as a readable oracle; ``path_coefficients`` gives the same values
-for a block of paths with one kernel call per order.  ``evolve_by_order`` evaluates it order by
-order on a frontier of rows, each holding an endpoint z, the sorted
-Schrodinger-picture nodes y and a weight.  A step with rate lam landing
-on z' makes the child y' = sort((y - lam) u {E_z'}): every earlier node
-shifts by the step's rate and the landing energy joins the list.  Divided
-differences are symmetric in their nodes, so rows whose (z, y) are
-bit-identical merge by summing their weights, which changes no value.  A
-step off the basis, or whose d diagonal vanishes at the landing state,
-is pruned by one rule (``_steps``) over the model's ``step_tables``, the
-one format every route reads.  Children are visited depth-first in
-blocks of ``_BLOCK_ROWS`` rows, so the working set stays bounded.
+for a block of paths with one kernel call per order.  ``evolve_by_order``
+evaluates it order by order on a frontier of rows (z, v, weight): an
+endpoint and sorted nodes relative to a per-state origin o, 0 in the
+Schrodinger picture and E in the interaction picture.  The root is
+E_z0 - o_z0; a step with rate lam from z to z' makes the child
+sort((v - (lam - (o_z - o_z'))) u {E_z' - o_z'}).  Rows whose (z, v) are
+bit-identical merge by summing their weights (divided differences are
+symmetric), which changes no value.  A step off the basis, or whose d
+diagonal vanishes at the landing state, is pruned by one rule (``_steps``)
+over the model's ``step_tables``, the one format every route reads.
+Children are visited depth-first in blocks of ``_BLOCK_ROWS`` rows, each
+expanding a bounded number of parents at a time, so memory stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
 per call.  ``evolve_by_order`` adds each child's cost at the kernel's own
@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_check_time, _slice_exponents, _table_ops, exp_dd,
-                      exp_dd_batch)
+from .divdiff import (_check_int, _check_time, _slice_exponents, _table_ops,
+                      exp_dd, exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
@@ -134,11 +134,11 @@ def y_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
 
 
 def x_inputs(model: HamiltonianModel, path: Path) -> np.ndarray:
-    """Interaction-picture nodes x_j = y_j - E_q, j = 0..q.
-
-    The last node, y_q - E_q = E_q - E_q, is exactly 0.
-    """
-    return y_inputs(model, path) - model.energies[path.trajectory[-1]]
+    """Interaction-picture nodes x_j = (E_j - E_q) - sum_{l>j} lam_l, j = 0..q,
+    energy differences first, unchanged by a constant energy shift; x_q = 0."""
+    sums = _suffix_lambda_sums(model, path)
+    energies = path_energies(model, path.trajectory)
+    return (energies - energies[-1]).astype(complex) - sums
 
 
 def d_product(model: HamiltonianModel, path: Path) -> complex:
@@ -203,9 +203,8 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     cost against the work budget; the generator raises CapacityError at the
     path that passes it.
     """
-    _check_index(model, z)
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    z = _check_index(model, z)
+    max_order = _check_int(max_order, "max_order")
     targets, _, d = model.step_tables
     landing, _, kept = _steps(targets, d, np.arange(model.dimension))
     # each state's (i, k, landing state) steps, reversed, as Python ints
@@ -226,7 +225,7 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
 
 
 class _Rows(NamedTuple):
-    """Frontier rows: endpoint z, sorted Schrodinger-picture nodes y, weight."""
+    """Frontier rows: endpoint z, the picture's sorted nodes y, weight."""
 
     z: np.ndarray
     y: np.ndarray
@@ -257,12 +256,12 @@ def _steps(targets, d, z: np.ndarray):
     return zc, dc, np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
 
 
-def _children(rows: _Rows, energies: np.ndarray, targets, lam, d) -> _Rows:
-    """Every defined, non-vanishing (term, factor) step from every row."""
+def _children(rows: _Rows, landing, origin, targets, lam, d) -> _Rows:
+    """Every defined, non-vanishing step from every row (landing = E - origin)."""
     zc, dc, (m, k, r) = _steps(targets, d, rows.z)
     z = zc[m, r]
-    y = np.sort(np.column_stack([rows.y[r] - lam[m, k, z][:, None],
-                                 energies[z]]), axis=1)
+    rate = lam[m, k, z] - (origin[rows.z[r]] - origin[z])
+    y = np.sort(np.column_stack([rows.y[r] - rate[:, None], landing[z]]), axis=1)
     return _merged(_Rows(z, y, rows.weight[r] * dc[m, k, r]))
 
 
@@ -272,50 +271,55 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
     partial sums over rows give every truncation at once.  Each frontier
-    block is one ``exp_dd_batch`` call: row (z, y, weight) adds
-    weight * e^{-it[y]} at z, with the nodes shifted by -E_z in the
-    interaction picture.  Deterministic for fixed arguments.  Raises
+    block is one ``exp_dd_batch`` call on exactly the rows the budget
+    counted: row (z, v, weight) adds weight * e^{-it[v]} at z, v relative to
+    the picture's origin.  A block expands 10 * _BLOCK_ROWS // (M * K)
+    parents at a time.  Deterministic for fixed arguments.  Raises
     CapacityError once the children built so far would cost the kernel more
     than the work budget, and ValueError where a row's t * spread is past
     the kernel's range.
     """
-    _check_index(model, z0)
+    z0 = _check_index(model, z0)
     t = _check_time(t)
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
+    max_order = _check_int(max_order, "max_order")
 
     energies = model.energies
     tables = model.step_tables
-    D = model.dimension
+    M, K, D = tables[2].shape
+    origin = energies if picture == "interaction" else np.zeros(D)
+    landing = energies - origin
+    parents = max(1, 10 * _BLOCK_ROWS // (M * K))
     out = np.zeros((max_order + 1, D), dtype=complex)
-    root = _Rows(np.array([z0]), np.full((1, 1), energies[z0], complex),
+    root = _Rows(np.array([z0]), np.full((1, 1), landing[z0], complex),
                  np.ones(1, complex))
-    stack = [(0, root)]
+    # (order, rows, whether the rows' values are already summed)
+    stack = [(0, root, False)]
     work = _table_ops(1, 1)
     while stack:
-        q, rows = stack.pop()
-        nodes = rows.y
-        if picture == "interaction":
-            nodes = nodes - energies[rows.z][:, None]
-        values = rows.weight * exp_dd_batch(t, nodes)
-        out[q] += (np.bincount(rows.z, values.real, D)
-                   + 1j * np.bincount(rows.z, values.imag, D))
-        if q < max_order:
-            kids = _children(rows, energies, *tables)
-            if kids.z.size == 0:
-                continue
-            # each row's kernel cost at its own slice count (E_z shifts a
-            # row by a constant, which the slicing does not see)
-            rows_by_exponent = np.bincount(_slice_exponents(t, kids.y))
-            work += sum(int(c) * _table_ops(q + 2, 1 << m)
-                        for m, c in enumerate(rows_by_exponent))
-            if work > _WORK_LIMIT:
-                raise _over_budget(work, q + 1)
-            starts = range(0, kids.z.size, _BLOCK_ROWS)
-            stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)))
-                         for s in reversed(starts))
+        q, rows, evaluated = stack.pop()
+        if not evaluated:
+            values = rows.weight * exp_dd_batch(t, rows.y)
+            out[q] += (np.bincount(rows.z, values.real, D)
+                       + 1j * np.bincount(rows.z, values.imag, D))
+        if q == max_order:
+            continue
+        if rows.z.size > parents:
+            stack.append((q, rows.take(slice(parents, None)), True))
+            rows = rows.take(slice(parents))
+        kids = _children(rows, landing, origin, *tables)
+        if kids.z.size == 0:
+            continue
+        # each row's kernel cost at its own slice count
+        rows_by_exponent = np.bincount(_slice_exponents(t, kids.y))
+        work += sum(int(c) * _table_ops(q + 2, 1 << m)
+                    for m, c in enumerate(rows_by_exponent))
+        if work > _WORK_LIMIT:
+            raise _over_budget(work, q + 1)
+        starts = range(0, kids.z.size, _BLOCK_ROWS)
+        stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)), False)
+                     for s in reversed(starts))
     return out
 
 
@@ -329,14 +333,14 @@ def evolve(model: HamiltonianModel, z0: int, t, max_order: int,
 def transition_amplitude(model: HamiltonianModel, z_in: int, z_fin: int,
                          t, max_order: int) -> complex:
     """<z_fin| state |z_in>: exactly the evolved amplitude at z_fin."""
-    _check_index(model, z_fin)
+    z_fin = _check_index(model, z_fin)
     return complex(evolve(model, z_in, t, max_order).amplitudes[z_fin])
 
 
 def amplitude_by_order(model: HamiltonianModel, z_in: int, z_fin: int,
                        t, max_order: int) -> np.ndarray:
     """Order-resolved transition amplitudes, length max_order + 1."""
-    _check_index(model, z_fin)
+    z_fin = _check_index(model, z_fin)
     orders = evolve_by_order(model, z_in, t, max_order)
     return orders[:, z_fin].copy()
 

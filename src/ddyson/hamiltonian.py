@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .divdiff import _check_time
+from .divdiff import _check_int, _check_time
 from .errors import ModelError
 
 
@@ -176,9 +176,12 @@ class HamiltonianModel:
         return tables
 
 
-def _check_index(model: HamiltonianModel, z: int) -> None:
-    if not 0 <= z < model.dimension:
+def _check_index(model: HamiltonianModel, z: int) -> int:
+    """``z`` as an int basis index; ValueError unless an integer in [0, D)."""
+    z = _check_int(z, "basis index")
+    if not z < model.dimension:
         raise ValueError(f"basis index {z} outside [0, {model.dimension})")
+    return z
 
 
 def is_time_independent(model: HamiltonianModel) -> bool:

@@ -30,7 +30,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .divdiff import _check_time, as_nodes
+from .divdiff import _check_int, _check_time, as_nodes
 from .engine import StateVector
 from .errors import CapacityError, DegenerateNodesError, StiffnessError
 from .hamiltonian import HamiltonianModel, _check_index, eval_H, is_time_independent
@@ -112,7 +112,7 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     from scipy.integrate import solve_ivp
 
     _check_dense(model)
-    _check_index(model, z0)
+    z0 = _check_index(model, z0)
     t = _check_time(t)
     if not 0.0 < float(tol) < np.inf:
         raise ValueError("tol must be finite and > 0")
@@ -170,7 +170,7 @@ def mat_exp_evolve(model: HamiltonianModel, z0: int, t) -> StateVector:
     _check_dense(model)
     if not is_time_independent(model):
         raise ValueError("mat_exp_evolve requires a time-independent model")
-    _check_index(model, z0)
+    z0 = _check_index(model, z0)
     t = _check_time(t)
     U = expm(-1j * t * eval_H(model, 0.0))
     return StateVector(amplitudes=U[:, z0].copy(), time=t)
@@ -199,12 +199,14 @@ def exp_dd_highprec(t, inputs, digits: int = 60) -> complex:
     cancels away about q log10(1 / (t gap)) digits, so a fixed precision is
     no reference at high order or small t * spread.  Starting at ``digits``,
     the working precision doubles until two successive evaluations agree to
-    1e-24 relative; the finer one is returned.  Raises ``CapacityError``
+    1e-24 relative; the finer one is returned.  ``digits`` must be an
+    integer >= 1, or ValueError.  Raises ``CapacityError``
     if they still disagree at 4000 digits; no recursion runs past that.
     """
     import mpmath as mp
 
     t = _check_time(t)
+    digits = _check_int(digits, "digits", 1)
     x = as_nodes(inputs)
     if np.unique(x).size != x.size:
         raise DegenerateNodesError(

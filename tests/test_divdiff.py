@@ -328,6 +328,19 @@ def test_matches_highprec_oracle_mixed_nodes():
         assert abs(exp_dd(t, nodes) - reference) <= 1e-10 * abs(reference)
 
 
+@pytest.mark.parametrize("digits", [0, -5, 2.5])
+def test_highprec_rejects_bad_digits(digits):
+    # at 0 digits both evaluations agreed on a wrong value, and -5 overflowed
+    with pytest.raises(ValueError, match="digits"):
+        exp_dd_highprec(0.3, [0.1, 0.5, 0.9], digits=digits)
+
+
+def test_highprec_one_digit_start():
+    nodes = [0.1, 0.5, 0.9]
+    assert exp_dd_highprec(0.3, nodes, digits=1) == pytest.approx(
+        exp_dd(0.3, nodes), rel=1e-14)
+
+
 def test_highprec_rejects_duplicates():
     with pytest.raises(DegenerateNodesError):
         exp_dd_highprec(0.5, [1.0, 1.0, 2.0])

@@ -493,6 +493,50 @@ def cosine_drive():
     return HamiltonianModel(energies=np.array([-0.5, 0.5]), terms=(term,))
 
 
+def two_level_flip():
+    """Two levels with one flip term whose rate depends on the landing state."""
+    factor = ExpSumFactor(lam=np.array([0.9, -0.4]), d=np.full(2, 0.1))
+    term = PermutationTerm(perm=PermutationMap(np.array([1, 0])), factors=(factor,))
+    return HamiltonianModel(energies=np.array([2.7, -2.1]), terms=(term,))
+
+
+def test_interaction_picture_is_shift_invariant():
+    # alpha depends only on energy differences and rates, so shifting every
+    # energy by c changes no interaction-picture value; e is exactly
+    # representable at both scales, so the model and its shift hold the
+    # same differences
+    rng = np.random.default_rng(2)
+    c = 2.0 ** 20
+    e = (c + rng.uniform(-1.0, 1.0, 4)) - c
+    # two random permutations with decaying rates (Im lam > 0)
+    terms = tuple(PermutationTerm(perm=PermutationMap(rng.permutation(4)), factors=(
+        ExpSumFactor(lam=rng.uniform(-1.0, 1.0, 4) + 0.5j * rng.uniform(size=4),
+                     d=0.3 * rng.uniform(-1.0, 1.0, 4)),)) for _ in range(2))
+    model = HamiltonianModel(energies=e, terms=terms)
+    shifted = HamiltonianModel(energies=e + c, terms=terms)
+    t, Q = 5.0, 4
+    rows = evolve_by_order(model, 0, t, Q, "interaction")
+    assert np.abs(evolve_by_order(shifted, 0, t, Q, "interaction") - rows).max() \
+        <= 1e-13 * np.abs(rows).max()
+    for p in enumerate_paths(model, 0, Q):
+        want = alpha(model, p, t)
+        assert abs(alpha(shifted, p, t) - want) <= 1e-13 * abs(want)
+
+
+def test_wide_model_expansion_stays_small():
+    # M * K = 200 steps per row: a whole 4096-row block would build ~8e5
+    # children (~450 MB traced) before the budget could refuse them
+    model = random_model(np.random.default_rng(0), dim=20, n_terms=40, n_factors=5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            evolve_by_order(model, 0, 0.05, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2 ** 20
+
+
 def test_cosine_drive_high_order_stays_small():
     # if expanded whole, ~300 MB of kernel temporaries at Q = 14
     m = cosine_drive()
@@ -529,7 +573,11 @@ def oscillator(z0, Q):
     (build_single_spin(SPIN), 0, 1000.0, 5),
     # rows of one order need 1 to 8 slices
     (cosine_drive(), 0, 0.5, 12),
-], ids=["oscillator", "decaying-spin", "cosine-drive"])
+    # the interaction-picture order-2 row needs two slices, its
+    # Schrodinger-picture row one: counted on the Schrodinger nodes, the
+    # budget saw 187 of the kernel's 315 operations
+    (two_level_flip(), 0, 1 / 3.6333333333333333, 2),
+], ids=["oscillator", "decaying-spin", "cosine-drive", "two-level"])
 def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
     ran = []
     core = divdiff._exp_dd_core
@@ -541,8 +589,7 @@ def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
     limit = engine._WORK_LIMIT
-    # in both pictures: the interaction picture shifts each row by -E_z,
-    # which moves no node relative to its row's mean but by rounding
+    # in both pictures: the kernel gets exactly the rows that were counted
     for picture in PICTURES:
         monkeypatch.setattr(engine, "_WORK_LIMIT", limit)
         ran.clear()
@@ -587,6 +634,30 @@ def test_invalid_arguments():
         evolve(m, 0, 0.1, -1)
     with pytest.raises(ValueError):
         evolve(m, 0, 0.1, 2, picture="heisenberg")
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: evolve(m, 1.0, 0.1, 2),
+    lambda m: ode_evolve(m, 1.0, 0.1),
+    lambda m: transition_amplitude(m, 0, 1.0, 0.1, 2),
+    lambda m: amplitude_by_order(m, 0, 1.0, 0.1, 2),
+    lambda m: evolve_by_order(m, 0, 0.1, 2.5),
+    lambda m: list(enumerate_paths(m, 0, 2.5)),
+], ids=["evolve", "ode", "amplitude", "by-order", "max-order", "paths"])
+def test_non_integer_index_or_order_is_a_value_error(call):
+    with pytest.raises(ValueError, match="integer"):
+        call(build_single_spin(SPIN))
+
+
+def test_integer_like_indices_are_accepted():
+    m = build_single_spin(SPIN)
+    want = evolve(m, 1, 0.1, 2).amplitudes
+    for z in (np.int64(1), True):
+        assert np.array_equal(evolve(m, z, 0.1, 2).amplitudes, want)
+    assert transition_amplitude(m, np.int64(1), np.int64(0), 0.1, 2) == want[0]
+    assert np.array_equal(evolve_by_order(m, 1, 0.1, np.int64(2)).sum(axis=0), want)
+    assert np.array_equal(ode_evolve(m, np.int64(1), 0.1).amplitudes,
+                          ode_evolve(m, 1, 0.1).amplitudes)
 
 
 # -- transition amplitudes ---------------------------------------------------
