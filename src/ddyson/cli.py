@@ -144,6 +144,11 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out_path):
     else:
         text = json.dumps([{c: row.get(c) for c in columns} for row in rows],
                           indent=2) + "\n"
+    _write_text(text, out_path)
+
+
+def _write_text(text: str, out_path):
+    """``text`` to the file ``out_path``, or to stdout when it is not given."""
     if out_path:
         FsPath(out_path).write_text(text, encoding="utf-8")
     else:
@@ -224,8 +229,6 @@ def _cmd_amplitude(args) -> int:
             "im": float(amps[q].imag),
             "cum_re": float(cum[q].real),
             "cum_im": float(cum[q].imag),
-            "closed_re": None,
-            "closed_im": None,
         }
         if closed is not None:
             row["closed_re"] = float(closed[q].real)
@@ -246,11 +249,7 @@ def _cmd_validate(args) -> int:
         "all_passed": all(r.passed for r in results),
         "suites": [r.as_dict() for r in results],
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        FsPath(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write_text(json.dumps(report, indent=2) + "\n", args.out)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{status:4s} {r.name}: max error {r.max_error:.3e} "

@@ -89,15 +89,15 @@ def as_nodes(inputs) -> np.ndarray:
     return arr
 
 
-def _check_int(value, name: str, low: int = 0) -> int:
+def _check_int(value, name: str, low: int = 0, error=ValueError) -> int:
     """``value`` as an int >= low (numpy integers and bools pass through
-    ``operator.index``); ValueError for anything else."""
+    ``operator.index``); ``error`` (ValueError or a subclass) for anything else."""
     try:
         value = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {value!r}") from None
     if value < low:
-        raise ValueError(f"{name} must be >= {low}")
+        raise error(f"{name} must be >= {low}")
     return value
 
 

@@ -22,8 +22,9 @@ bit-identical merge by summing their weights (divided differences are
 symmetric), which changes no value.  A step off the basis, or whose d
 diagonal vanishes at the landing state, is pruned by one rule (``_steps``)
 over the model's ``step_tables``, the one format every route reads.
-Children are visited depth-first in blocks of ``_BLOCK_ROWS`` rows, each
-expanding a bounded number of parents at a time, so memory stays bounded.
+Every frontier block is evaluated when popped, then expanded whole; its
+children go on the depth-first stack in blocks small enough (``_BLOCK_ROWS``
+rows, fewer to expand where M * K > 10) that memory stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
 per call.  ``evolve_by_order`` adds each child's cost at the kernel's own
@@ -34,6 +35,7 @@ either raises ``CapacityError`` before the kernel runs past the budget.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,20 +107,24 @@ def _step_entries(model: HamiltonianModel, which: int, path: Path) -> list:
     """Entry [i - 1, k - 1, z] of step table ``model.step_tables[which]``
     for each step (i, k) of the path, read at its landing state z.
 
-    Raises ValueError unless every index is in range and each landing state
-    is the term's image of the state before it.
+    Raises ValueError unless every index is an integer in range and each
+    landing state is the term's image of the state before it.
     """
     targets, table = model.step_tables[0], model.step_tables[which]
     M, K, D = table.shape
-    states = path.trajectory
-    if not all(1 <= i <= M and 1 <= k <= K for i, k in zip(path.terms, path.factors)):
+    try:
+        terms, factors, states = (list(map(operator.index, a)) for a in
+                                  (path.terms, path.factors, path.trajectory))
+    except TypeError:
+        raise ValueError(f"path indices must be integers: {path}") from None
+    if not all(1 <= i <= M and 1 <= k <= K for i, k in zip(terms, factors)):
         raise ValueError(f"path term or factor index outside [1, {M}] x [1, {K}]")
     if not (all(0 <= z < D for z in states)
             and all(targets[i - 1, a] == b
-                    for i, a, b in zip(path.terms, states, states[1:]))):
-        raise ValueError(f"path trajectory {states} is not the walk of terms {path.terms}")
+                    for i, a, b in zip(terms, states, states[1:]))):
+        raise ValueError(f"path trajectory {states} is not the walk of terms {terms}")
     return [table[i - 1, k - 1, z]
-            for i, k, z in zip(path.terms, path.factors, states[1:])]
+            for i, k, z in zip(terms, factors, states[1:])]
 
 
 def _suffix_lambda_sums(model: HamiltonianModel, path: Path) -> np.ndarray:
@@ -270,11 +276,11 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     """Per-order state contributions, shape (max_order + 1, dimension).
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
-    partial sums over rows give every truncation at once.  Each frontier
-    block is one ``exp_dd_batch`` call on exactly the rows the budget
-    counted: row (z, v, weight) adds weight * e^{-it[v]} at z, v relative to
-    the picture's origin.  A block expands 10 * _BLOCK_ROWS // (M * K)
-    parents at a time.  Deterministic for fixed arguments.  Raises
+    partial sums over rows give every truncation at once.  A frontier block
+    is one ``exp_dd_batch`` call on exactly the rows the budget counted, row
+    (z, v, weight) adding weight * e^{-it[v]} at z, v relative to the
+    picture's origin; below max_order it then expands whole, so holds at
+    most 10 * _BLOCK_ROWS // (M * K) rows.  Deterministic.  Raises
     CapacityError once the children built so far would cost the kernel more
     than the work budget, and ValueError where a row's t * spread is past
     the kernel's range.
@@ -290,36 +296,32 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     M, K, D = tables[2].shape
     origin = energies if picture == "interaction" else np.zeros(D)
     landing = energies - origin
-    parents = max(1, 10 * _BLOCK_ROWS // (M * K))
+    # one expansion builds at most 10 * _BLOCK_ROWS children (one row's
+    # M * K where that is more)
+    block = max(1, min(_BLOCK_ROWS, 10 * _BLOCK_ROWS // (M * K)))
     out = np.zeros((max_order + 1, D), dtype=complex)
     root = _Rows(np.array([z0]), np.full((1, 1), landing[z0], complex),
                  np.ones(1, complex))
-    # (order, rows, whether the rows' values are already summed)
-    stack = [(0, root, False)]
+    stack = [(0, root)]
     work = _table_ops(1, 1)
     while stack:
-        q, rows, evaluated = stack.pop()
-        if not evaluated:
-            values = rows.weight * exp_dd_batch(t, rows.y)
-            out[q] += (np.bincount(rows.z, values.real, D)
-                       + 1j * np.bincount(rows.z, values.imag, D))
+        q, rows = stack.pop()
+        values = rows.weight * exp_dd_batch(t, rows.y)
+        out[q] += (np.bincount(rows.z, values.real, D)
+                   + 1j * np.bincount(rows.z, values.imag, D))
         if q == max_order:
             continue
-        if rows.z.size > parents:
-            stack.append((q, rows.take(slice(parents, None)), True))
-            rows = rows.take(slice(parents))
         kids = _children(rows, landing, origin, *tables)
-        if kids.z.size == 0:
-            continue
         # each row's kernel cost at its own slice count
         rows_by_exponent = np.bincount(_slice_exponents(t, kids.y))
         work += sum(int(c) * _table_ops(q + 2, 1 << m)
                     for m, c in enumerate(rows_by_exponent))
         if work > _WORK_LIMIT:
             raise _over_budget(work, q + 1)
-        starts = range(0, kids.z.size, _BLOCK_ROWS)
-        stack.extend((q + 1, kids.take(slice(s, s + _BLOCK_ROWS)), False)
-                     for s in reversed(starts))
+        # children at max_order are evaluated but never expanded
+        size = block if q + 1 < max_order else _BLOCK_ROWS
+        stack.extend((q + 1, kids.take(slice(s, s + size)))
+                     for s in reversed(range(0, kids.z.size, size)))
     return out
 
 

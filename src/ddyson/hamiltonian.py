@@ -26,16 +26,17 @@ from .errors import ModelError
 
 @dataclass(frozen=True)
 class PermutationMap:
-    """Partial injective map on basis indices; target -1 means undefined."""
+    """Partial injective map on basis indices; integer targets, -1 undefined."""
 
     targets: np.ndarray
 
     def __post_init__(self):
-        tgt = np.asarray(self.targets, dtype=np.int64)
-        if tgt.ndim != 1 or tgt.size == 0:
+        tgt = np.array([_check_int(e, "permutation target", -1, ModelError)
+                        for e in np.ravel(self.targets).tolist()], dtype=np.int64)
+        if np.ndim(self.targets) != 1 or tgt.size == 0:
             raise ModelError("permutation targets must be a nonempty 1-D array")
         d = tgt.size
-        if tgt.min() < -1 or tgt.max() >= d:
+        if tgt.max() >= d:
             raise ModelError(f"permutation targets must lie in [-1, {d})")
         defined = tgt[tgt >= 0]
         if np.unique(defined).size != defined.size:
@@ -52,17 +53,15 @@ class PermutationMap:
 
     @classmethod
     def from_shift(cls, dimension: int, shift: int) -> "PermutationMap":
-        """z -> z + shift where the image stays inside [0, dimension)."""
-        tgt = np.arange(dimension, dtype=np.int64) + int(shift)
+        """z -> z + shift (an integer) where the image stays in [0, dimension)."""
+        tgt = np.arange(dimension, dtype=np.int64) + _check_int(shift, "shift", -np.inf)
         tgt[(tgt < 0) | (tgt >= dimension)] = -1
         return cls(tgt)
 
     @classmethod
     def from_mapping(cls, entries) -> "PermutationMap":
         """Explicit target list; None (or -1) marks undefined sources."""
-        tgt = np.array([-1 if e is None else int(e) for e in entries],
-                       dtype=np.int64)
-        return cls(tgt)
+        return cls([-1 if e is None else e for e in entries])
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,8 @@ class HamiltonianModel:
         return self.terms[0].n_factors
 
     def term(self, i: int) -> PermutationTerm:
-        """Term by 1-based index."""
+        """Term by 1-based index; ValueError unless an integer in [1, M]."""
+        i = _check_int(i, "term index")
         if not 1 <= i <= self.n_terms:
             raise ValueError(f"term index {i} outside [1, {self.n_terms}]")
         return self.terms[i - 1]

@@ -389,10 +389,27 @@ def test_step_reads_match_term_lookups():
     bad_paths += [engine.Path(terms=(1,), factors=(1,), trajectory=(2, z))
                   for z in (0, -1, 7)]
     bad_paths.append(engine.Path(terms=(), factors=(), trajectory=(5,)))
-    for bad in bad_paths:
-        for read in (d_product, y_inputs):
+    # and so is a float term, factor or state, which raised numpy's bare
+    # IndexError, even where it equals an integer
+    z = int(targets[0, 2])
+    float_paths = [engine.Path(terms=(1.0,), factors=(1,), trajectory=(2, z)),
+                   engine.Path(terms=(1,), factors=(1.0,), trajectory=(2, z)),
+                   engine.Path(terms=(1,), factors=(1,), trajectory=(2.0, z))]
+    for bad in bad_paths + float_paths:
+        for read in (d_product, y_inputs, x_inputs):
             with pytest.raises(ValueError):
                 read(m, bad)
+    with pytest.raises(ValueError):
+        alpha(m, float_paths[0], 0.1)
+    # model.term takes integers only too (a float passed its range check)
+    for i in (1.0, 1.5):
+        with pytest.raises(ValueError):
+            m.term(i)
+    # numpy integers pass
+    one = np.int64(1)
+    path = engine.Path(terms=(one,), factors=(one,), trajectory=(np.int64(2), z))
+    assert d_product(m, path) == d_loop(m, engine.Path((1,), (1,), (2, z)))
+    assert m.term(one) is m.term(1)
 
 
 def test_merged_rows_match_per_path_oracle(monkeypatch):
@@ -535,6 +552,31 @@ def test_wide_model_expansion_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_values_do_not_depend_on_block_size(picture, monkeypatch):
+    # M * K = 18 and 4.  At 256-row blocks (142 rows where M * K = 18 and
+    # the block will be expanded) every order past the second is split over
+    # many blocks, whose children no longer merge; at the default the wide
+    # model's order-3 frontier passes its 2,275-row expansion cap and the
+    # narrow model's order-6 frontier fills one 4,096-row block
+    cases = [(random_model(np.random.default_rng(8), dim=8, n_terms=6, n_factors=3), 4),
+             (random_model(np.random.default_rng(8)), 6)]
+    calls, default = [], engine._BLOCK_ROWS
+    batch = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: calls.append(len(nodes)) or batch(t, nodes))
+    for model, Q in cases:
+        calls.clear()
+        full = evolve_by_order(model, 0, 0.3, Q, picture)
+        full_calls = len(calls)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", 256)
+        small = evolve_by_order(model, 0, 0.3, Q, picture)
+        monkeypatch.setattr(engine, "_BLOCK_ROWS", default)
+        assert len(calls) - full_calls > full_calls
+        for q in range(Q + 1):
+            assert np.abs(small[q] - full[q]).max() <= 1e-12 * np.abs(full[q]).max()
 
 
 def test_cosine_drive_high_order_stays_small():

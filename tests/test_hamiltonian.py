@@ -52,6 +52,20 @@ def test_out_of_range_target_rejected():
         PermutationMap(np.array([0, 5], dtype=np.int64))
 
 
+def test_non_integer_targets_and_shifts_rejected():
+    # each was silently truncated to an integer map before
+    with pytest.raises(ModelError):
+        PermutationMap(np.array([1.5, 0.2]))
+    with pytest.raises(ModelError):
+        PermutationMap.from_mapping([1.7, None, 0])
+    with pytest.raises(ValueError):
+        PermutationMap.from_shift(4, 1.5)
+    # numpy integers pass, and negative shifts stay legal
+    assert PermutationMap(np.array([1, 0], dtype=np.int32)).targets.tolist() == [1, 0]
+    assert PermutationMap.from_mapping([np.int64(2), None, 0]).targets.tolist() == [2, -1, 0]
+    assert PermutationMap.from_shift(4, np.int64(-1)).targets.tolist() == [-1, 0, 1, 2]
+
+
 # -- model validation --------------------------------------------------------
 
 def test_model_requires_terms_and_consistent_factor_count():
