@@ -104,18 +104,19 @@ def _parse_param(text: str) -> tuple[str, float]:
 
 def _resolve_model(model_arg: str, params: dict, z0: int | None = None,
                    max_order: int | None = None):
-    """Built-in name with params, or a JSON config path."""
-    path = FsPath(model_arg)
-    if path.exists():
-        if params:
-            raise ModelError("--param applies to built-in models only")
-        return load_model(path.read_text(encoding="utf-8"))
+    """Built-in name with params, else a JSON config path: a built-in name
+    wins over a same-named path, which stays reachable as ``./name``."""
     if model_arg in BUILTIN_MODELS:
         params = dict(params)
         if (model_arg == "anharmonic" and "n_max" not in params
                 and z0 is not None and max_order is not None):
             params["n_max"] = anharmonic_default_dimension(z0, max_order)
         return build_named(model_arg, params)
+    path = FsPath(model_arg)
+    if path.exists():
+        if params:
+            raise ModelError("--param applies to built-in models only")
+        return load_model(path.read_text(encoding="utf-8"))
     raise ModelError(
         f"'{model_arg}' is neither a config file nor a built-in model "
         f"({sorted(BUILTIN_MODELS)})")

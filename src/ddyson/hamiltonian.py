@@ -125,7 +125,10 @@ class HamiltonianModel:
     terms: tuple
 
     def __post_init__(self):
-        en = np.atleast_1d(np.asarray(self.energies, dtype=float))
+        en = np.atleast_1d(np.asarray(self.energies))
+        if np.any(np.imag(en)):
+            raise ModelError("energies must be real")
+        en = np.asarray(np.real(en), dtype=float)
         if en.ndim != 1 or en.size == 0:
             raise ModelError("energies must be a nonempty 1-D real array")
         if not np.all(np.isfinite(en)):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ModelError
-from .divdiff import exp_dd
+from .divdiff import _check_int, exp_dd
 from .hamiltonian import (
     ExpSumFactor,
     HamiltonianModel,
@@ -123,7 +123,7 @@ def quartic_amplitude(i: int, n: int) -> float:
 
 def anharmonic_default_dimension(z0: int, max_order: int) -> int:
     """Truncation that no path of order <= max_order can leave: z0 + 4Q + 4."""
-    return int(z0) + 4 * int(max_order) + 4
+    return _check_int(z0, "z0") + 4 * _check_int(max_order, "max_order") + 4
 
 
 def build_anharmonic(params: AnharmonicParams) -> HamiltonianModel:
@@ -176,8 +176,7 @@ def fermi_amplitude_closed_form(params: FermiParams, order: int, t) -> complex:
     the divided-difference kernel, so the resonant (confluent) limit is
     well defined.  Even orders vanish by parity.
     """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+    order = _check_int(order, "order")
     if order % 2 == 0:
         return 0j
     nodes = [

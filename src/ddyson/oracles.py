@@ -32,7 +32,8 @@ from numpy.polynomial.legendre import leggauss, legvander
 
 from .divdiff import _check_int, _check_time, as_nodes
 from .engine import StateVector
-from .errors import CapacityError, DegenerateNodesError, StiffnessError
+from .errors import (CapacityError, DegenerateNodesError, ModelError,
+                     StiffnessError)
 from .hamiltonian import HamiltonianModel, _check_index, eval_H, is_time_independent
 
 DENSE_DIMENSION_CAP = 512
@@ -169,7 +170,7 @@ def mat_exp_evolve(model: HamiltonianModel, z0: int, t) -> StateVector:
 
     _check_dense(model)
     if not is_time_independent(model):
-        raise ValueError("mat_exp_evolve requires a time-independent model")
+        raise ModelError("mat_exp_evolve requires a time-independent model")
     z0 = _check_index(model, z0)
     t = _check_time(t)
     U = expm(-1j * t * eval_H(model, 0.0))

@@ -7,17 +7,20 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ddyson
 from ddyson import (
     SingleSpinParams,
+    StateVector,
     build_single_spin,
     evolve,
     infidelity,
     model_to_json,
     ode_evolve,
 )
+from ddyson import validate
 from ddyson.cli import run
 
 SPIN_ARGS = ["--model", "single_spin", "--param", "a=1", "--param", "b=0.5",
@@ -182,6 +185,36 @@ def test_validate_passes_and_writes_report(tmp_path):
     assert all(s["passed"] for s in report["suites"])
 
 
+def test_validate_suite_fails_on_a_nan_case(monkeypatch):
+    # a running max(worst, err) from 0.0 dropped a NaN that was not the
+    # first error, and the suite passed
+    simplex, calls = validate.simplex_integral, []
+
+    def nan_in_fifth_case(t, g):
+        calls.append(t)
+        return complex("nan") if len(calls) == 5 else simplex(t, g)
+
+    monkeypatch.setattr(validate, "simplex_integral", nan_in_fifth_case)
+    result = validate.suite_identity1(0)
+    assert (np.isnan(result.max_error), result.passed) == (True, False)
+    assert result.cases == 125
+
+
+def test_validate_exits_1_on_nan_amplitudes(tmp_path, monkeypatch):
+    # NaN dense amplitudes read as max_error 0.0 and a pass
+    def nan_amplitudes(model, z0, t):
+        return StateVector(amplitudes=np.full(model.dimension, complex("nan")),
+                           time=t)
+
+    monkeypatch.setattr(validate, "mat_exp_evolve", nan_amplitudes)
+    out = tmp_path / "report.json"
+    assert run(["validate", "--seed", "0", "--out", str(out)]) == 1
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["all_passed"] is False
+    assert [s["passed"] for s in report["suites"]] == [True, True, True, False]
+    assert np.isnan(report["suites"][3]["max_error"])
+
+
 def test_validate_rejects_corrupt_model(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -266,6 +299,27 @@ def test_amplitude_budget_is_checked_before_closed_forms(capsys, tmp_path):
     assert time.perf_counter() - start < 10.0
     assert _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_builtin_model_name_wins_over_a_same_named_path(tmp_path, monkeypatch):
+    # the path was tried first: a folder named fermi made `--model fermi`
+    # exit 2 ("Is a directory"), and a file named single_spin was read as JSON
+    monkeypatch.chdir(tmp_path)
+    Path("fermi").mkdir()
+    assert run(["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
+                "--t", "0.7", "--Q", "3", "--out", "amp.csv"]) == 0
+    assert read_csv("amp.csv")[1]["closed_re"] != ""
+    builtin = build_single_spin(SingleSpinParams(a=1.0, b=0.5))
+    config = build_single_spin(SingleSpinParams(a=0.3, b=0.9))
+    Path("single_spin").write_text(model_to_json(config), encoding="utf-8")
+    # the config stays reachable by an explicit path
+    for name, model in (("single_spin", builtin), ("./single_spin", config)):
+        assert run(["evolve", "--model", name, "--z0", "0", "--t", "0.5",
+                    "--Q", "4", "--out", "evolve.csv"]) == 0
+        rows = read_csv("evolve.csv")
+        want = evolve(model, 0, 0.5, 4).amplitudes
+        assert [complex(float(r["re"]), float(r["im"])) for r in rows] == (
+            pytest.approx(list(want), abs=1e-15))
 
 
 def test_config_error_exit_code(tmp_path):

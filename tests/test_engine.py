@@ -40,10 +40,12 @@ from ddyson import (
 )
 from ddyson import divdiff, engine
 from ddyson.engine import PICTURES
-from ddyson.models import FermiParams, anharmonic_default_dimension
+from ddyson.models import (FermiParams, anharmonic_default_dimension,
+                           fermi_amplitude_closed_form)
 from ddyson.validate import random_model, random_ti_model
 
 SPIN = SingleSpinParams(a=1.0, b=0.5, gamma=0.2)
+FERMI = FermiParams(e_in=0.3, e_fin=1.1, e_drive=0.45, gamma=0.02)
 
 
 def spin_path(model, order):
@@ -685,7 +687,11 @@ def test_invalid_arguments():
     lambda m: amplitude_by_order(m, 0, 1.0, 0.1, 2),
     lambda m: evolve_by_order(m, 0, 0.1, 2.5),
     lambda m: list(enumerate_paths(m, 0, 2.5)),
-], ids=["evolve", "ode", "amplitude", "by-order", "max-order", "paths"])
+    lambda m: fermi_amplitude_closed_form(FERMI, 2.5, 0.7),
+    lambda m: fermi_amplitude_closed_form(FERMI, 3.0, 0.7),
+    lambda m: anharmonic_default_dimension(2.7, 1.9),
+], ids=["evolve", "ode", "amplitude", "by-order", "max-order", "paths",
+        "closed-form-order", "closed-form-odd-float", "default-dimension"])
 def test_non_integer_index_or_order_is_a_value_error(call):
     with pytest.raises(ValueError, match="integer"):
         call(build_single_spin(SPIN))
@@ -700,6 +706,10 @@ def test_integer_like_indices_are_accepted():
     assert np.array_equal(evolve_by_order(m, 1, 0.1, np.int64(2)).sum(axis=0), want)
     assert np.array_equal(ode_evolve(m, np.int64(1), 0.1).amplitudes,
                           ode_evolve(m, 1, 0.1).amplitudes)
+    # gamma ** order must not depend on the integer type of the order
+    assert (fermi_amplitude_closed_form(FERMI, np.int64(3), 0.7)
+            == fermi_amplitude_closed_form(FERMI, 3, 0.7))
+    assert anharmonic_default_dimension(np.int64(4), np.int32(5)) == 28
 
 
 # -- transition amplitudes ---------------------------------------------------

@@ -80,15 +80,20 @@ def test_model_requires_terms_and_consistent_factor_count():
 
 
 def test_model_rejects_nonfinite_pieces():
+    terms = (PermutationTerm(
+        perm=PermutationMap.identity(2),
+        factors=(ExpSumFactor(lam=np.zeros(2, complex), d=np.zeros(2, complex)),)),)
     with pytest.raises(ModelError):
         ExpSumFactor(lam=np.array([np.inf + 0j]), d=np.array([1.0 + 0j]))
     with pytest.raises(ModelError):
-        HamiltonianModel(
-            energies=np.array([np.nan]),
-            terms=(PermutationTerm(
-                perm=PermutationMap.identity(1),
-                factors=(ExpSumFactor(lam=np.zeros(1, complex),
-                                      d=np.zeros(1, complex)),)),))
+        HamiltonianModel(energies=np.array([np.nan, 0.0]), terms=terms)
+    # a complex energy is an error, not cut to its real part with a warning
+    for energies in (np.array([1 + 2j, 0]), [1, complex(0, np.nan)]):
+        with pytest.raises(ModelError, match="real"):
+            HamiltonianModel(energies=energies, terms=terms)
+    # a real value held as complex passes, with no warning
+    m = HamiltonianModel(energies=np.array([1 + 0j, 0j]), terms=terms)
+    assert m.energies.dtype == float and m.energies.tolist() == [1.0, 0.0]
 
 
 def test_dimension_mismatch_rejected():

@@ -15,6 +15,7 @@ from ddyson import (
     CapacityError,
     ExpSumFactor,
     HamiltonianModel,
+    ModelError,
     PermutationMap,
     PermutationTerm,
     SingleSpinParams,
@@ -236,7 +237,7 @@ def test_matrix_exponential_unitary_on_hermitian_model():
 
 def test_matrix_exponential_rejects_time_dependence():
     m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelError, match="time-independent"):
         mat_exp_evolve(m, 0, 0.5)
 
 
