@@ -143,9 +143,22 @@ def _write_rows(rows: list[dict], columns: list[str], fmt: str, out_path):
             writer.writerow([_fmt_cell(row.get(c)) for c in columns])
         text = buf.getvalue()
     else:
-        text = json.dumps([{c: row.get(c) for c in columns} for row in rows],
-                          indent=2) + "\n"
+        text = _json_text([{c: row.get(c) for c in columns} for row in rows])
     _write_text(text, out_path)
+
+
+def _json_text(obj) -> str:
+    """``obj`` as strict JSON, indented, with a non-finite float as null
+    (``NaN`` and ``Infinity`` are not JSON)."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {k: strict(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strict(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    return json.dumps(strict(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _write_text(text: str, out_path):
@@ -250,7 +263,7 @@ def _cmd_validate(args) -> int:
         "all_passed": all(r.passed for r in results),
         "suites": [r.as_dict() for r in results],
     }
-    _write_text(json.dumps(report, indent=2) + "\n", args.out)
+    _write_text(_json_text(report), args.out)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{status:4s} {r.name}: max error {r.max_error:.3e} "

@@ -20,7 +20,7 @@ from ddyson import (
     model_to_json,
     ode_evolve,
 )
-from ddyson import validate
+from ddyson import cli, validate
 from ddyson.cli import run
 
 SPIN_ARGS = ["--model", "single_spin", "--param", "a=1", "--param", "b=0.5",
@@ -92,6 +92,22 @@ def test_evolve_json_format(tmp_path):
                 "--format", "json", "--out", str(out)]) == 0
     rows = json.loads(out.read_text(encoding="utf-8"))
     assert isinstance(rows, list) and set(rows[0]) == {"t", "z", "re", "im", "prob"}
+
+
+def strict_json(path):
+    # NaN and Infinity are not JSON: a strict parser rejects them
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+def test_json_rows_write_non_finite_as_null(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "infidelity", lambda reference, state: float("nan"))
+    out = tmp_path / "sweep.json"
+    assert run(["infidelity-sweep", *SPIN_ARGS, "--z0", "0", "--t", "0.5",
+                "--Q", "0,1", "--format", "json", "--out", str(out)]) == 0
+    assert strict_json(out) == [{"t": 0.5, "Q": 0, "infidelity": None},
+                                {"t": 0.5, "Q": 1, "infidelity": None}]
 
 
 def test_evolve_flags_probabilities_above_one(tmp_path, capsys):
@@ -209,10 +225,10 @@ def test_validate_exits_1_on_nan_amplitudes(tmp_path, monkeypatch):
     monkeypatch.setattr(validate, "mat_exp_evolve", nan_amplitudes)
     out = tmp_path / "report.json"
     assert run(["validate", "--seed", "0", "--out", str(out)]) == 1
-    report = json.loads(out.read_text(encoding="utf-8"))
+    report = strict_json(out)
     assert report["all_passed"] is False
     assert [s["passed"] for s in report["suites"]] == [True, True, True, False]
-    assert np.isnan(report["suites"][3]["max_error"])
+    assert report["suites"][3]["max_error"] is None
 
 
 def test_validate_rejects_corrupt_model(tmp_path):

@@ -442,6 +442,105 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
 
 
+def _dict_merge(rows):
+    # one row per (z, y bytes) in first-occurrence order, weights summed in
+    # row order from 0, as bincount sums them
+    merged = {}
+    for z, y, w in zip(rows.z.tolist(), rows.y, rows.weight.tolist()):
+        key = (z, y.tobytes())
+        merged[key] = (y, merged.get(key, (y, 0.0))[1] + w)
+    return engine._Rows(np.array([z for z, _ in merged], dtype=rows.z.dtype),
+                        np.array([y for y, _ in merged.values()]).reshape(-1, rows.y.shape[1]),
+                        np.array([w for _, w in merged.values()], dtype=complex))
+
+
+def _merge_batches():
+    rng = np.random.default_rng(21)
+    # few distinct values per node, so many rows repeat
+    y = np.sort(rng.integers(-1, 2, (600, 4)) + 0.5j * rng.integers(0, 2, (600, 4)), axis=1)
+    planted = _rows(rng.integers(0, 3, 600), y, rng)
+    # distinct random rows, and exact copies of 200 of them
+    z = rng.integers(0, 5, 500)
+    y = rng.normal(size=(500, 7)) + 1j * rng.normal(size=(500, 7))
+    copies = rng.permutation(np.r_[np.arange(500), rng.integers(0, 500, 200)])
+    copied = _rows(z[copies], y[copies], rng)
+    # equal but for the sign of a zero imaginary word: distinct rows
+    y = np.array([[1.0 + 0.0j, 2.0 + 0.0j], [1.0 + 0.0j, complex(2.0, -0.0)]] * 3)
+    signed_zero = _rows(np.zeros(6, int), y, rng)
+    return [planted, copied, signed_zero,
+            _rows(np.zeros(0, int), np.zeros((0, 3), complex), rng),
+            _rows(np.array([2]), np.array([[0.5 - 1j, 3.0 + 0j]]), rng)]
+
+
+def _rows(z, y, rng):
+    return engine._Rows(z, y, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
+
+
+def _assert_same_rows(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_hash_merge_equals_exact_merge():
+    # the same rows in the same order with bit-identical weights, and the
+    # input's y left as it was (a node-major view of a one-row y is y)
+    for rows in _merge_batches():
+        before = rows.y.tobytes()
+        got = engine._merged(rows)
+        assert rows.y.tobytes() == before
+        _assert_same_rows(got, engine._merged_exact(rows))
+        _assert_same_rows(got, _dict_merge(rows))
+    planted, copied, signed_zero = _merge_batches()[:3]
+    # 3 endpoints times the multisets of 4 nodes from 6 values
+    assert len(engine._merged(planted).z) <= 3 * math.comb(6 + 4 - 1, 4)
+    assert len(engine._merged(copied).z) == 500
+    assert len(engine._merged(signed_zero).z) == 2
+
+
+def test_forced_hash_collisions_change_no_value(monkeypatch):
+    # with every row's hash equal, rows that differ take the exact merge;
+    # rows that are all equal still merge on the hash
+    exact = engine._merged_exact
+    taken = []
+    monkeypatch.setattr(engine, "_row_hash", lambda z, words: np.zeros(len(z), np.uint64))
+    monkeypatch.setattr(engine, "_merged_exact", lambda rows: taken.append(1) or exact(rows))
+    for rows in _merge_batches():
+        taken.clear()
+        got = engine._merged(rows)
+        assert taken == ([1] if len(rows.z) > 1 else [])
+        _assert_same_rows(got, exact(rows))
+    same = _rows(np.full(5, 3), np.tile([[1.0 + 2j, 4.0 + 0j]], (5, 1)), np.random.default_rng(0))
+    taken.clear()
+    _assert_same_rows(engine._merged(same), _dict_merge(same))
+    assert taken == []
+    # so a whole run is bit for bit the same when every merge falls back
+    model = random_model(np.random.default_rng(8))
+    monkeypatch.undo()
+    want = evolve_by_order(model, 0, 0.3, 5)
+    monkeypatch.setattr(engine, "_row_hash", lambda z, words: np.zeros(len(z), np.uint64))
+    assert evolve_by_order(model, 0, 0.3, 5).tobytes() == want.tobytes()
+
+
+def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
+    # merging in first-occurrence order loses no merge: the bundled
+    # oscillator makes 12,666 kernel rows in 8 calls where its 76,771 paths
+    # would each need one, and a dense random K = 2 model 4^q rows at order q
+    calls = []
+    batch = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: calls.append(len(nodes)) or batch(t, nodes))
+    for picture in PICTURES:
+        calls.clear()
+        evolve_by_order(oscillator(4, 5), 4, 0.06, 5, picture)
+        assert (len(calls), sum(calls)) == (8, 12666)
+    for seed in (1, 2):
+        calls.clear()
+        model = random_model(np.random.default_rng(seed), dim=4, n_terms=2, n_factors=2)
+        evolve_by_order(model, 0, 0.06, 8)
+        assert (len(calls), sum(calls)) == (27, 87381)
+
+
 def _record_kernel_arrays(monkeypatch):
     # the kernel's largest arrays are those of its Taylor loops, all
     # node-major: (n + 1, B) buffers on the one-slice route (one zero pad
