@@ -7,12 +7,10 @@ dense matrix exponentials) that cross-check the machinery at desk scale.
 """
 
 from .divdiff import (
-    DdEvalStats,
     as_nodes,
     dd_recursive,
     exp_dd,
     exp_dd_batch,
-    exp_dd_stats,
     shift_inputs,
 )
 from .engine import (

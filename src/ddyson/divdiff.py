@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -63,18 +62,6 @@ _PAST_RANGE = (f"is past the kernel's range 2^{_MAX_SLICE_EXPONENT}: no digit "
 # splits larger batches into row chunks under it (one row per chunk once
 # n + 1, or n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
-
-
-@dataclass(frozen=True)
-class DdEvalStats:
-    """Work accounting for one ``exp_dd`` evaluation (per input row)."""
-
-    n_slices: int
-    table_ops: int
-
-    @property
-    def ops_per_slice(self) -> float:
-        return self.table_ops / self.n_slices
 
 
 def as_nodes(inputs) -> np.ndarray:
@@ -119,20 +106,26 @@ def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _slice_exponents(t, x: np.ndarray) -> np.ndarray:
-    """``_exponents`` of a (B, n) node batch, as the engine counts work."""
+    """``_exponents`` of a (B, n) node batch: the m of each row's slice
+    count 2^m, as ``exp_dd_batch(t, x)`` picks it, with its range rule."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _exponents(t, _centered(np.ascontiguousarray(x.T))[1])
+        return _exponents(t, *_centered(np.ascontiguousarray(x.T)))
 
 
-def _exponents(t, delta: np.ndarray) -> np.ndarray:
-    """Per row of node-major centred nodes, the m of its slice count s = 2^m:
-    the least with |t (x_j - mu)| / s <= _SLICE_CAP (``t``: one time, or
-    one per row).  Raises ValueError past m = ``_MAX_SLICE_EXPONENT``."""
+def _exponents(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per row of a node-major batch with ``_centered`` means mu and nodes
+    delta, the m of its slice count s = 2^m: the least with
+    |t (x_j - mu)| / s <= _SLICE_CAP (``t``: one time, or one per row).
+    Raises ValueError past the kernel's range: past m =
+    ``_MAX_SLICE_EXPONENT``, or where the phase t |mu| passes 2^52."""
     amax = np.abs(t * delta).max(axis=0)
-    # nan and inf fail this test too
+    # nan and inf fail these tests too
     if not (amax <= _SLICE_CAP * _RANGE).all():
         raise ValueError(f"time times node distance from the mean, "
                          f"{np.max(amax):.3g}, {_PAST_RANGE}")
+    phase = np.abs(t * mu).max(initial=0.0)
+    if not phase <= _RANGE:
+        raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
     mant, exp = np.frexp(amax / _SLICE_CAP)
     return np.maximum(0, exp - (mant == 0.5))
 
@@ -169,6 +162,15 @@ def _table_ops(n: int, n_slices: int) -> int:
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
     return n_slices * degree * 2 * n
+
+
+def _batch_work(t, x: np.ndarray) -> int:
+    """Table operations ``exp_dd_batch(t, x)`` spends on a (B, n) node
+    batch, each row at its own slice count: the engine's work budget.
+    Raises ValueError where the kernel refuses the batch for range (a value
+    that overflows is found only by evaluating it)."""
+    counts = np.bincount(_slice_exponents(t, x)).tolist()
+    return sum(c * _table_ops(x.shape[1], 1 << m) for m, c in enumerate(counts))
 
 
 @lru_cache(maxsize=None)
@@ -315,14 +317,6 @@ def exp_dd(t, inputs) -> complex:
     return complex(exp_dd_batch(t, as_nodes(inputs)[None])[0])
 
 
-def exp_dd_stats(t, inputs) -> tuple[complex, DdEvalStats]:
-    """``exp_dd`` plus work accounting (slice count, table operations)."""
-    x = as_nodes(inputs)
-    value = exp_dd(t, x)
-    n_slices = 1 << int(_slice_exponents(t, x[None])[0])
-    return value, DdEvalStats(n_slices, _table_ops(len(x), n_slices))
-
-
 def exp_dd_batch(t, node_rows) -> np.ndarray:
     """``exp_dd`` of each row of a 2-D node array, at one time ``t`` or at
     one time per row (a 1-D array of finite times, one per row).
@@ -352,10 +346,7 @@ def exp_dd_batch(t, node_rows) -> np.ndarray:
     out = np.empty(B, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         mu, delta = _centered(xt)
-        exponents = _exponents(t, delta)
-        phase = np.abs(t * mu).max(initial=0.0)
-        if not phase <= _RANGE:
-            raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
+        exponents = _exponents(t, mu, delta)
         for m, count in enumerate(np.bincount(exponents).tolist()):
             n_slices = 1 << m
             step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))

@@ -32,10 +32,11 @@ children go on the depth-first stack in blocks small enough (``_BLOCK_ROWS``
 rows, fewer to expand where M * K > 10) that memory stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
-per call.  ``evolve_by_order`` adds each child's cost at the kernel's own
-slice count (``divdiff._slice_exponents``, ``_table_ops``) when it builds
-it, and ``enumerate_paths`` the one-slice cost of each path it yields;
-either raises ``CapacityError`` before the kernel runs past the budget.
+per call.  ``evolve_by_order`` adds each block of children's cost when it
+builds it, by the kernel's own count (``divdiff._batch_work``, each row
+at its own slice count), and ``enumerate_paths`` the one-slice cost of
+each path it yields; either raises ``CapacityError`` before the kernel
+runs past the budget.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_check_int, _check_time, _slice_exponents, _table_ops,
-                      exp_dd, exp_dd_batch)
+from .divdiff import (_batch_work, _check_int, _check_time, _table_ops, exp_dd,
+                      exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
@@ -347,8 +348,8 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     picture's origin; below max_order it then expands whole, so holds at
     most 10 * _BLOCK_ROWS // (M * K) rows.  Deterministic.  Raises
     CapacityError once the children built so far would cost the kernel more
-    than the work budget, and ValueError where a row's t * spread is past
-    the kernel's range.
+    than the work budget, and ValueError where a row is past the kernel's
+    range, before the kernel runs it.
     """
     z0 = _check_index(model, z0)
     t = _check_time(t)
@@ -377,10 +378,7 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
         if q == max_order:
             continue
         kids = _children(rows, landing, origin, *tables)
-        # each row's kernel cost at its own slice count
-        rows_by_exponent = np.bincount(_slice_exponents(t, kids.y))
-        work += sum(int(c) * _table_ops(q + 2, 1 << m)
-                    for m, c in enumerate(rows_by_exponent))
+        work += _batch_work(t, kids.y)
         if work > _WORK_LIMIT:
             raise _over_budget(work, q + 1)
         # children at max_order are evaluated but never expanded

@@ -7,6 +7,23 @@ from ddyson import (
     PermutationMap,
     PermutationTerm,
 )
+from ddyson import divdiff
+
+
+@pytest.fixture
+def kernel_work(monkeypatch):
+    """The table operations of each ``_exp_dd_core`` call made while the
+    test runs, by the kernel's own cost formula, in call order."""
+    ran = []
+    core = divdiff._exp_dd_core
+
+    def recorded(t, xt, mu, delta, n_slices):
+        values = core(t, xt, mu, delta, n_slices)
+        ran.append(xt.shape[1] * divdiff._table_ops(len(xt), n_slices))
+        return values
+
+    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+    return ran
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from ddyson import (
     dd_recursive,
     exp_dd,
     exp_dd_batch,
-    exp_dd_stats,
     shift_inputs,
 )
 from ddyson import divdiff
@@ -192,25 +191,17 @@ def test_batch_matches_scalar_calls():
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
 
-def test_batch_slices_each_row_at_its_own_count(monkeypatch):
+def test_batch_slices_each_row_at_its_own_count(kernel_work):
     # one wide row (16 slices, the squaring route) among 199 narrow ones
     # (one slice each)
     rng = np.random.default_rng(18)
     rows = rng.uniform(-0.5, 0.5, (200, 6)) + 1j * rng.uniform(-0.1, 0.1, (200, 6))
     rows[57] *= 40.0
     t = 1.0
-    ran = []
-    core = divdiff._exp_dd_core
-
-    def recorded(t, xt, mu, delta, n_slices):
-        values = core(t, xt, mu, delta, n_slices)
-        ran.append(xt.shape[1] * divdiff._table_ops(len(xt), n_slices))
-        return values
-
-    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
     values = exp_dd_batch(t, rows)
-    kernel_work = sum(ran)
-    assert kernel_work == sum(exp_dd_stats(t, row)[1].table_ops for row in rows)
+    assert sum(kernel_work) == divdiff._batch_work(t, rows)
+    assert sum(kernel_work) == sum(divdiff._batch_work(t, row[None]) for row in rows)
+    assert divdiff._batch_work(t, rows[57:58]) == divdiff._table_ops(6, 16)
     for row, value in zip(rows, values):
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
@@ -255,6 +246,11 @@ def test_past_the_kernel_range_is_a_value_error(t, nodes):
         exp_dd(t, nodes)
     with pytest.raises(ValueError, match="range"):
         exp_dd_batch(np.array([0.5, t]), [[1.0, 0.0][:len(nodes)], nodes])
+    # the budget's count refuses the same rows, save a value that
+    # overflows, which only evaluating finds
+    if nodes != [1j]:
+        with pytest.raises(ValueError, match="range"):
+            divdiff._batch_work(t, np.array([nodes], complex))
 
 
 def test_kernel_range_ends_at_two_to_the_52_slices():
@@ -308,12 +304,6 @@ def test_one_slice_rows_are_centred_once(monkeypatch):
     calls.clear()
     exp_dd(0.5, [0.1, 0.2, 0.3])
     assert calls == [(3, 1)]
-
-
-def test_stats_reports_power_of_two_slices():
-    _, stats = exp_dd_stats(1.0, np.linspace(-50, 50, 21))
-    assert stats.n_slices & (stats.n_slices - 1) == 0
-    assert stats.table_ops > 0
 
 
 # -- extended-precision agreement --------------------------------------------

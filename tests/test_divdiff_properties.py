@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from ddyson import (CapacityError, SingleSpinParams, build_single_spin, eval_H, evolve_ti,
-                    exp_dd, exp_dd_stats)
+                    exp_dd)
 from ddyson import divdiff, oracles
 from ddyson.oracles import exp_dd_highprec
 
@@ -80,21 +80,22 @@ def test_single_spin_converges_to_expm(order):
 def test_long_time_work_grows_with_log_slices(nodes, log_scale):
     n = nodes.size
     t = 10.0 ** log_scale / _spread(nodes)
-    _, stats = exp_dd_stats(t, nodes)
-    _, doubled = exp_dd_stats(2.0 * t, nodes)
+    x = nodes[None]
+    m, m_doubled = (int(divdiff._slice_exponents(s, x)[0]) for s in (t, 2.0 * t))
+    work, doubled = divdiff._batch_work(t, x), divdiff._batch_work(2.0 * t, x)
     # twice the time is one more squaring of an n x n table, not twice the work
-    assert doubled.n_slices == 2 * stats.n_slices
-    assert doubled.table_ops - stats.table_ops <= n ** 3
+    assert m_doubled == m + 1
+    assert doubled - work <= n ** 3
     degree = n + divdiff._EXTRA_DEGREE
-    assert stats.table_ops <= 2 * degree * n * n + math.log2(stats.n_slices) * n ** 3
+    assert work <= 2 * degree * n * n + m * n ** 3
 
 
 def test_long_time_three_nodes():
     # 2^17 slices; t |x| eps ~ 1e-11 is the rounding of the phase alone
     x = [0.3, -0.7 - 0.1j, 0.9]
-    value, stats = exp_dd_stats(1e5, x)
+    value = exp_dd(1e5, x)
     reference = exp_dd_highprec(1e5, x)
-    assert stats.n_slices == 2 ** 17
+    assert divdiff._slice_exponents(1e5, np.array([x]))[0] == 17
     assert abs(value - reference) <= 1e-10 * abs(reference)
 
 

@@ -721,33 +721,24 @@ def oscillator(z0, Q):
     # budget saw 187 of the kernel's 315 operations
     (two_level_flip(), 0, 1 / 3.6333333333333333, 2),
 ], ids=["oscillator", "decaying-spin", "cosine-drive", "two-level"])
-def test_counted_work_covers_kernel_work(monkeypatch, model, z0, t, Q):
-    ran = []
-    core = divdiff._exp_dd_core
-
-    def recorded(t, xt, mu, delta, n_slices):
-        values = core(t, xt, mu, delta, n_slices)
-        ran.append(xt.shape[1] * divdiff._table_ops(len(xt), n_slices))
-        return values
-
-    monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)
+def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t, Q):
     limit = engine._WORK_LIMIT
     # in both pictures: the kernel gets exactly the rows that were counted
     for picture in PICTURES:
         monkeypatch.setattr(engine, "_WORK_LIMIT", limit)
-        ran.clear()
+        kernel_work.clear()
         evolve_by_order(model, z0, t, Q, picture)
-        kernel_work = sum(ran)
+        spent = sum(kernel_work)
         # the count equals the kernel's work: a budget of exactly that
         # admits the run, and a budget one below it is passed before the
         # kernel has run past it
-        monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work)
+        monkeypatch.setattr(engine, "_WORK_LIMIT", spent)
         evolve_by_order(model, z0, t, Q, picture)
-        monkeypatch.setattr(engine, "_WORK_LIMIT", kernel_work - 1)
-        ran.clear()
+        monkeypatch.setattr(engine, "_WORK_LIMIT", spent - 1)
+        kernel_work.clear()
         with pytest.raises(CapacityError):
             evolve_by_order(model, z0, t, Q, picture)
-        assert sum(ran) <= kernel_work - 1
+        assert sum(kernel_work) <= spent - 1
 
 
 def test_work_budget_calibration(monkeypatch):
@@ -765,6 +756,22 @@ def test_work_budget_admits_oscillator_order_six():
     orders = evolve_by_order(oscillator(4, 6), 4, 0.06, 6)
     assert np.isfinite(orders).all()
     assert np.abs(orders[6]).max() > 0
+
+
+def test_rows_past_the_kernel_range_are_refused_by_the_budget(monkeypatch):
+    # the order-1 row's nodes are 2^60 apart, past the kernel's 2^52
+    # slices, or both 2^60, past its phase range: the budget pass refuses
+    # the row, and the kernel sees only the root
+    seen = []
+    kernel = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes: seen.append(nodes.shape) or kernel(t, nodes))
+    for params in (FermiParams(0.0, 2.0 ** 60, 0.0, 1.0),
+                   FermiParams(0.0, 2.0 ** 60, 2.0 ** 60, 1.0)):
+        seen.clear()
+        with pytest.raises(ValueError, match="range"):
+            evolve_by_order(build_fermi(params), 0, 1.0, 1)
+        assert seen == [(1, 1)]
 
 
 def test_invalid_arguments():
