@@ -27,16 +27,17 @@ merge (``_merged_exact``) taken on a true collision.  Either way the
 classes come out in first-occurrence order.  A step off the basis, or whose d
 diagonal vanishes at the landing state, is pruned by one rule (``_steps``)
 over the model's ``step_tables``, the one format every route reads.
-Every frontier block is evaluated when popped, then expanded whole; its
-children go on the depth-first stack in blocks small enough (``_BLOCK_ROWS``
-rows, fewer to expand where M * K > 10) that memory stays bounded.
+Each batch of rows, the root and then each expanded block's merged
+children, is counted, evaluated in one kernel call and, below the top
+order, pushed on the depth-first stack of blocks to expand, in blocks small
+enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
-per call.  ``evolve_by_order`` adds each block of children's cost when it
-builds it, by the kernel's own count (``divdiff._batch_work``, each row
-at its own slice count), and ``enumerate_paths`` the one-slice cost of
-each path it yields; either raises ``CapacityError`` before the kernel
-runs past the budget.
+per call.  ``evolve_by_order`` adds each batch's cost just before the
+kernel evaluates it, by the kernel's own count (``divdiff._batch_work``,
+each row at its own slice count), and ``enumerate_paths`` the one-slice
+cost of each path it yields; either raises ``CapacityError`` before the
+kernel runs past the budget.
 """
 
 from __future__ import annotations
@@ -342,20 +343,29 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     """Per-order state contributions, shape (max_order + 1, dimension).
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
-    partial sums over rows give every truncation at once.  A frontier block
-    is one ``exp_dd_batch`` call on exactly the rows the budget counted, row
-    (z, v, weight) adding weight * e^{-it[v]} at z, v relative to the
-    picture's origin; below max_order it then expands whole, so holds at
-    most 10 * _BLOCK_ROWS // (M * K) rows.  Deterministic.  Raises
-    CapacityError once the children built so far would cost the kernel more
-    than the work budget, and ValueError where a row is past the kernel's
-    range, before the kernel runs it.
+    partial sums over rows give every truncation at once.  Each batch of
+    rows, the root or one block's merged children, takes one step: the
+    budget counts it, one ``exp_dd_batch`` call evaluates that same array,
+    row (z, v, weight) adding weight * e^{-it[v]} at z (v relative to the
+    picture's origin), and below max_order it goes on the stack in blocks
+    of at most 10 * _BLOCK_ROWS // (M * K) rows, each expanded whole.
+    Deterministic.  Raises CapacityError where the output would hold more
+    than ``_WORK_LIMIT`` entries, before anything is allocated, or once the
+    batches counted so far would cost the kernel more than the work budget;
+    and ValueError where a row is past the kernel's range, before the
+    kernel runs it.
     """
     z0 = _check_index(model, z0)
     t = _check_time(t)
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
     max_order = _check_int(max_order, "max_order")
+
+    if (max_order + 1) * model.dimension > _WORK_LIMIT:
+        raise CapacityError(
+            f"an output of {max_order + 1} orders by {model.dimension} states "
+            f"is past the budget of {_WORK_LIMIT:.3g} entries; "
+            "reduce the expansion order")
 
     energies = model.energies
     tables = model.step_tables
@@ -368,23 +378,22 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     out = np.zeros((max_order + 1, D), dtype=complex)
     root = _Rows(np.array([z0]), np.full((1, 1), landing[z0], complex),
                  np.ones(1, complex))
-    stack = [(0, root)]
-    work = _table_ops(1, 1)
+    # (-1, None) stands for the root's parent: its one child is the root
+    stack = [(-1, None)]
+    work = 0
     while stack:
-        q, rows = stack.pop()
+        q, parent = stack.pop()
+        q += 1
+        rows = root if parent is None else _children(parent, landing, origin, *tables)
+        work += _batch_work(t, rows.y)
+        if work > _WORK_LIMIT:
+            raise _over_budget(work, q)
         values = rows.weight * exp_dd_batch(t, rows.y)
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
-        if q == max_order:
-            continue
-        kids = _children(rows, landing, origin, *tables)
-        work += _batch_work(t, kids.y)
-        if work > _WORK_LIMIT:
-            raise _over_budget(work, q + 1)
-        # children at max_order are evaluated but never expanded
-        size = block if q + 1 < max_order else _BLOCK_ROWS
-        stack.extend((q + 1, kids.take(slice(s, s + size)))
-                     for s in reversed(range(0, kids.z.size, size)))
+        if q < max_order:
+            stack.extend((q, rows.take(slice(s, s + block)))
+                         for s in reversed(range(0, rows.z.size, block)))
     return out
 
 

@@ -243,7 +243,7 @@ def test_validate_rejects_corrupt_model(tmp_path):
 
 # -- exit codes ---------------------------------------------------------------------
 
-def test_capacity_exit_code():
+def test_capacity_exit_code(capsys):
     assert run(["evolve", "--model", "anharmonic", "--param", "n_max=9",
                 "--z0", "4", "--t", "0.1", "--Q", "80"]) == 3
     # a truncation past 2^16 states, given or implied by z0, fails before
@@ -253,6 +253,13 @@ def test_capacity_exit_code():
         assert run(["evolve", "--model", "anharmonic", *argv,
                     "--t", "0.1", "--Q", "1"]) == 3
         assert time.perf_counter() - start < 1.0
+    # so does an order whose per-order output would pass the budget's
+    # entries, with one error line
+    capsys.readouterr()
+    for q in ("10000000000", "10000000000000000000"):
+        assert run(["amplitude", "--model", "single_spin", "--zin", "0",
+                    "--zfin", "1", "--t", "0.5", "--Q", q]) == 3
+        assert _one_line_error(capsys)
 
 
 def _one_line_error(capsys):
@@ -347,6 +354,14 @@ def test_config_error_exit_code(tmp_path):
                 "--t", "0.1", "--Q", "1"]) == 2
     assert run(["evolve", "--model", "anharmonic", "--param", "n_max=9.7",
                 "--z0", "0", "--t", "0.1", "--Q", "1"]) == 2
+    # --param sets built-in parameters only
+    cfg = tmp_path / "spin.json"
+    cfg.write_text(model_to_json(build_single_spin(SingleSpinParams(a=1.0, b=0.5))),
+                   encoding="utf-8")
+    argv = ["evolve", "--model", str(cfg), "--z0", "0", "--t", "0.1", "--Q", "1",
+            "--out", str(tmp_path / "out.csv")]
+    assert run(argv) == 0
+    assert run([*argv, "--param", "a=1"]) == 2
 
 
 @pytest.mark.parametrize("term", [{"mapping": [10 ** 23, None]}, {"shift_map": 10 ** 23}],
@@ -376,11 +391,17 @@ def test_usage_error_exit_code():
      "--t", "0:1:3", "--Q", "3"],
     ["amplitude", "--model", "fermi", "--zin", "0", "--zfin", "1",
      "--t", "inf", "--Q", "3"],
+    ["evolve", "--model", "single_spin", "--param", "a", "--z0", "0",
+     "--t", "0.5", "--Q", "1"],
+    ["evolve", "--model", "single_spin", "--param", "a=x", "--z0", "0",
+     "--t", "0.5", "--Q", "1"],
 ], ids=["evolve-Q-list", "evolve-Q-negative", "amplitude-Q-list",
-        "amplitude-t-grid", "amplitude-t-inf"])
+        "amplitude-t-grid", "amplitude-t-inf", "param-no-equals",
+        "param-non-numeric"])
 def test_single_value_options_are_usage_errors(argv, capsys):
     # evolve --Q, amplitude --t and amplitude --Q take one value each, and
-    # the parser refuses more before any model is built
+    # --param one k=v with a number v; the parser refuses anything else
+    # before any model is built
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2

@@ -355,6 +355,17 @@ def test_rejects_empty_and_nonfinite_inputs():
         exp_dd(1e300, [0.0, 1e300])  # t * spread overflows
     with pytest.raises(ValueError):
         shift_inputs([1.0], np.inf)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        exp_dd(0.5, [[1.0, 2.0]])
+    for rows in ([1.0, 2.0], np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="2-D"):
+            exp_dd_batch(0.5, rows)
+    with pytest.raises(ValueError, match="finite"):
+        exp_dd_batch(0.5, [[1.0, np.nan]])
+    with pytest.raises(ValueError, match="equal length"):
+        dd_recursive([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        dd_recursive([1.0, np.inf], [1.0, 2.0])
 
 
 def test_shift_inputs_values():

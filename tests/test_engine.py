@@ -277,6 +277,21 @@ def test_capacity_guard():
         evolve(m, 4, 0.1, 100)
 
 
+@pytest.mark.parametrize("Q", [10 ** 10, 10 ** 19])
+def test_huge_order_is_refused_before_allocating(Q):
+    # a (Q + 1, D) output past _WORK_LIMIT entries is refused before it is
+    # allocated, not by numpy's allocator (a MemoryError at 10^10, a
+    # ValueError at 10^19)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="orders"):
+            evolve_by_order(build_single_spin(SPIN), 0, 0.5, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 ** 20
+
+
 # -- evolution ---------------------------------------------------------------
 
 def test_free_evolution_is_a_phase(free_model):
@@ -403,6 +418,10 @@ def test_step_reads_match_term_lookups():
                 read(m, bad)
     with pytest.raises(ValueError):
         alpha(m, float_paths[0], 0.1)
+    # a Path needs one factor per term and one state per step plus the start
+    for fields in (((1,), (), (2, z)), ((1,), (1,), (2,))):
+        with pytest.raises(ValueError, match="must"):
+            engine.Path(*fields)
     # model.term takes integers only too (a float passed its range check)
     for i in (1.0, 1.5):
         with pytest.raises(ValueError):
@@ -524,8 +543,9 @@ def test_forced_hash_collisions_change_no_value(monkeypatch):
 
 def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     # merging in first-occurrence order loses no merge: the bundled
-    # oscillator makes 12,666 kernel rows in 8 calls where its 76,771 paths
-    # would each need one, and a dense random K = 2 model 4^q rows at order q
+    # oscillator makes 12,666 kernel rows where its 76,771 paths would each
+    # need one, and a dense random K = 2 model 4^q rows at order q; each is
+    # one kernel call for the root and one per expanded block (6 and 12)
     calls = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
@@ -533,12 +553,12 @@ def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     for picture in PICTURES:
         calls.clear()
         evolve_by_order(oscillator(4, 5), 4, 0.06, 5, picture)
-        assert (len(calls), sum(calls)) == (8, 12666)
+        assert (len(calls), sum(calls)) == (6, 12666)
     for seed in (1, 2):
         calls.clear()
         model = random_model(np.random.default_rng(seed), dim=4, n_terms=2, n_factors=2)
         evolve_by_order(model, 0, 0.06, 8)
-        assert (len(calls), sum(calls)) == (27, 87381)
+        assert (len(calls), sum(calls)) == (12, 87381)
 
 
 def _record_kernel_arrays(monkeypatch):
@@ -657,11 +677,11 @@ def test_wide_model_expansion_stays_small():
 
 @pytest.mark.parametrize("picture", PICTURES)
 def test_values_do_not_depend_on_block_size(picture, monkeypatch):
-    # M * K = 18 and 4.  At 256-row blocks (142 rows where M * K = 18 and
-    # the block will be expanded) every order past the second is split over
-    # many blocks, whose children no longer merge; at the default the wide
-    # model's order-3 frontier passes its 2,275-row expansion cap and the
-    # narrow model's order-6 frontier fills one 4,096-row block
+    # M * K = 18 and 4.  At 256-row blocks (142 rows where M * K = 18)
+    # every order past the second is split over many blocks, whose children
+    # no longer merge; at the default the wide model's order-3 frontier
+    # passes its 2,275-row expansion cap and the narrow model's order 6 is
+    # one 4,096-row batch
     cases = [(random_model(np.random.default_rng(8), dim=8, n_terms=6, n_factors=3), 4),
              (random_model(np.random.default_rng(8)), 6)]
     calls, default = [], engine._BLOCK_ROWS
@@ -723,12 +743,32 @@ def oscillator(z0, Q):
 ], ids=["oscillator", "decaying-spin", "cosine-drive", "two-level"])
 def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t, Q):
     limit = engine._WORK_LIMIT
-    # in both pictures: the kernel gets exactly the rows that were counted
+    # each count and the work of the kernel call that follows it, in order
+    counted, ran = [], []
+    batch_work, batch = engine._batch_work, engine.exp_dd_batch
+
+    def count(t, x):
+        counted.append(batch_work(t, x))
+        return counted[-1]
+
+    def kernel(t, nodes):
+        start = len(kernel_work)
+        values = batch(t, nodes)
+        ran.append(sum(kernel_work[start:]))
+        return values
+
+    monkeypatch.setattr(engine, "_batch_work", count)
+    monkeypatch.setattr(engine, "exp_dd_batch", kernel)
+    # in both pictures: the kernel gets exactly the rows that were counted,
+    # one call per count
     for picture in PICTURES:
         monkeypatch.setattr(engine, "_WORK_LIMIT", limit)
         kernel_work.clear()
+        counted.clear()
+        ran.clear()
         evolve_by_order(model, z0, t, Q, picture)
         spent = sum(kernel_work)
+        assert counted == ran and sum(ran) == spent
         # the count equals the kernel's work: a budget of exactly that
         # admits the run, and a budget one below it is passed before the
         # kernel has run past it
@@ -736,9 +776,13 @@ def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t,
         evolve_by_order(model, z0, t, Q, picture)
         monkeypatch.setattr(engine, "_WORK_LIMIT", spent - 1)
         kernel_work.clear()
+        counted.clear()
+        ran.clear()
         with pytest.raises(CapacityError):
             evolve_by_order(model, z0, t, Q, picture)
         assert sum(kernel_work) <= spent - 1
+        # the batch whose count passes the budget never reaches the kernel
+        assert ran == counted[:-1]
 
 
 def test_work_budget_calibration(monkeypatch):

@@ -100,6 +100,15 @@ def test_dimension_mismatch_rejected():
     f = ExpSumFactor(lam=np.zeros(3, complex), d=np.ones(3, complex))
     with pytest.raises(ModelError):
         PermutationTerm(perm=PermutationMap.identity(2), factors=(f,))
+    with pytest.raises(ModelError, match="1-D"):
+        PermutationMap(np.array([[1, 0], [0, 1]]))
+    with pytest.raises(ModelError, match="equal-length"):
+        ExpSumFactor(lam=np.zeros(3, complex), d=np.ones(2, complex))
+    with pytest.raises(ModelError, match="at least one factor"):
+        PermutationTerm(perm=PermutationMap.identity(3), factors=())
+    term = PermutationTerm(perm=PermutationMap.identity(3), factors=(f,))
+    with pytest.raises(ModelError, match="spectrum"):
+        HamiltonianModel(energies=np.zeros(2), terms=(term,))
 
 
 # -- dense evaluation --------------------------------------------------------

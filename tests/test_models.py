@@ -242,6 +242,31 @@ def test_config_rejects_empty_terms_and_bad_shapes():
         with pytest.raises(ModelError, match=r"terms\[0\]"):
             load_model(json.dumps(loose))
 
+    # each refusal names what is wrong with the config
+    def with_term(**fields):
+        term = {"shift_map": 0, "factors": [{"lambda": 0, "d": 1}]}
+        return dict(base, terms=[dict(term, **fields)])
+
+    def with_d(d):
+        return with_term(factors=[{"lambda": 0, "d": d}])
+
+    for cfg, match in [
+            ([base], "JSON object"),
+            (dict(base, dimension=0), "positive integer"),
+            (dict(base, energies=[0.0, "1"]), "real numbers"),
+            (dict(base, terms=[0]), "expected an object"),
+            (with_term(shift_map=0.5), "'shift_map' must be an integer"),
+            (dict(base, terms=[{"mapping": [0], "factors": [{"lambda": 0, "d": 1}]}]),
+             "must list 2 targets"),
+            (with_term(factors=[]), "'factors' must be a nonempty list"),
+            (with_term(factors=[{"lambda": 0}]), "'lambda' and 'd'"),
+            (with_d("1"), "scalar or a length-2 array"),
+            (with_d([1, 2, 3]), "expected 2 entries"),
+            (with_d([1, [1, 2, 3]]), "number or an"),
+    ]:
+        with pytest.raises(ModelError, match=match):
+            load_model(json.dumps(cfg))
+
 
 def test_builtin_registry():
     m = build_named("single_spin", {"a": 1.0, "b": 0.5})

@@ -43,6 +43,13 @@ def test_depth_one_closed_form():
     assert simplex_integral(t, [g]) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("gammas", [[], [[1.0, 2.0]], [1.0, np.nan], [np.inf]],
+                         ids=["empty", "2-D", "nan", "inf"])
+def test_simplex_integral_rejects_bad_rates(gammas):
+    with pytest.raises(ValueError, match="gammas"):
+        simplex_integral(0.5, gammas)
+
+
 def test_zero_rates_give_simplex_volume():
     t = 0.9
     for q in range(1, 13):
