@@ -176,10 +176,12 @@ def _write_text(text: str, out_path):
 def _cmd_evolve(args) -> int:
     model = _resolve_model(args.model, dict(args.param), z0=args.z0,
                            max_order=args.Q)
+    # the engine first, as its refusals come before the oracle's; then one
+    # oracle pass over the whole grid
+    states = [evolve(model, args.z0, t, args.Q) for t in args.t]
+    oracles = ode_evolve(model, args.z0, args.t) if args.oracle else [None] * len(states)
     rows = []
-    for t in args.t:
-        state = evolve(model, args.z0, t, args.Q)
-        oracle = ode_evolve(model, args.z0, t) if args.oracle else None
+    for t, state, oracle in zip(args.t, states, oracles):
         probs = state.probabilities()
         for z in range(model.dimension):
             if probs[z] > PROB_FLAG_LIMIT:
@@ -210,8 +212,7 @@ def _cmd_infidelity_sweep(args) -> int:
     model = _resolve_model(args.model, dict(args.param), z0=args.z0,
                            max_order=q_top)
     rows = []
-    for t in args.t:
-        reference = ode_evolve(model, args.z0, t)
+    for t, reference in zip(args.t, ode_evolve(model, args.z0, args.t)):
         orders = evolve_by_order(model, args.z0, t, q_top)
         for q in q_list:
             truncated = StateVector(amplitudes=orders[: q + 1].sum(axis=0),

@@ -7,11 +7,14 @@ produces, by entirely different numerical routes:
   (-i)^q \\int_0^t dt_q ... \\int_0^{t_2} dt_1 e^{-i(g_q t_q + ... + g_1 t_1)}
   as q spectral antiderivatives on one 32-point Gauss-Legendre rule: the
   Hermite-Genocchi left-hand side that the kernel evaluates in closed form.
-* ``ode_evolve``: direct adaptive Runge-Kutta integration of
-  i dpsi/dt = H(t) psi.  Its right-hand side is one sum over a stack of
-  gather rows indexed by landing state, the diagonal first, and it raises
-  ``CapacityError`` past ``_ODE_MAX_EVALUATIONS`` evaluations or where
-  the model's energy scale overflows the step-size control.
+* ``ode_evolve``: direct integration of i dpsi/dt = H(t) psi by the
+  adaptive 8th-order Dormand-Prince pair (DOP853), at one time or over a
+  grid of times, each sign of t one solve outward from 0 read at the
+  grid's times from the dense output.  Its right-hand side is one sum over
+  a stack of gather rows indexed by landing state, the diagonal first, and
+  it raises ``CapacityError`` past ``_ODE_MAX_EVALUATIONS`` evaluations in
+  one call or where the model's energy scale overflows the step-size
+  control.
 * ``mat_exp_evolve``: e^{-i H t} |z0> by a dense matrix exponential for
   time-independent models.
 * ``infidelity``: 1 - |<psi|psi_Q>|^2 against a normalized reference.
@@ -41,9 +44,12 @@ DENSE_DIMENSION_CAP = 512
 # a 24-point rule agrees to 7e-16 and a 40-point rule to 3e-15 relative.
 _SIMPLEX_POINTS = 32
 _HIGHPREC_MAX_DIGITS = 4000
-# Right-hand-side evaluations one ``ode_evolve`` call may make.  The tests
-# and the benchmark's cli round use at most 962; the single spin at t = 1000
-# needs 196,514.  Past the cap the oracle raises in ~2 s on 2 cores.
+# Right-hand-side evaluations one ``ode_evolve`` call may make, over all of
+# its times.  DOP853 takes 12 per step and 3 more for the dense output of a
+# step that holds an interior grid time.  The tests and the benchmark's cli
+# round use at most 326 (the sweep's 9-point grid to t = 0.08); the single
+# spin at t = 1000 needs 38,045.  Past the cap the oracle raises, after
+# ~1.1 s on 2 cores for the spin at t = 1e4.
 _ODE_MAX_EVALUATIONS = 100_000
 
 
@@ -102,27 +108,34 @@ def _check_dense(model: HamiltonianModel) -> None:
 
 
 def ode_evolve(model: HamiltonianModel, z0: int, t,
-               tol: float = 1e-10) -> StateVector:
-    """Schrodinger solution |psi(t)> from |z0> by adaptive 4th/5th-order stepping.
+               tol: float = 1e-10) -> StateVector | list[StateVector]:
+    """Schrodinger solution |psi(t)> from |z0> by adaptive 8th-order stepping.
+
+    ``t`` is one time, for one ``StateVector``, or a 1-D array of times, for
+    a list of them in input order.  The times may be unsorted, repeated,
+    negative or 0 (which gives |z0> exactly); each sign is one DOP853 solve
+    outward from 0 that reads its sorted distinct |t| from the dense output,
+    so a grid costs about its farthest time.  A non-finite or 2-D ``t`` is a
+    ValueError.
 
     H(t) psi is one sum over a stack of gather rows indexed by landing
     state: the diagonal first, then one row per (term, factor).  Raises
     CapacityError after ``_ODE_MAX_EVALUATIONS`` right-hand-side
-    evaluations, or where the integration overflows.
+    evaluations over the whole call, or where the integration overflows.
     """
     from scipy.integrate import solve_ivp
 
     _check_dense(model)
     z0 = _check_index(model, z0)
-    t = _check_time(t)
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise ValueError("t must be one finite time or a 1-D array of them")
+    grid = times.reshape(-1)
     if not 0.0 < float(tol) < np.inf:
         raise ValueError("tol must be finite and > 0")
 
     psi0 = np.zeros(model.dimension, dtype=complex)
     psi0[z0] = 1.0
-    if t == 0.0:
-        return StateVector(psi0, 0.0)
-
     # gather rows indexed by landing state, each a source, a coefficient
     # and a rate: row 0 is the diagonal (z, E_z, 0), then one row per
     # (term, factor) with the preimage, d and i lam there, all zero where
@@ -136,6 +149,7 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     source, coeff, rate = (
         np.vstack([first, np.where(hit, rows, 0).reshape(M * K, D)]) for first, rows in
         ((np.arange(D), preimage), (model.energies, d), (np.zeros(D), 1j * lam)))
+    far = float(max(grid, key=abs, default=0.0))
     calls = 0
 
     def rhs(tt, psi):
@@ -143,25 +157,34 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
         calls += 1
         if calls > _ODE_MAX_EVALUATIONS:
             raise CapacityError(
-                f"adaptive integration to t = {t:g} took more than "
+                f"adaptive integration to t = {far:g} took more than "
                 f"{_ODE_MAX_EVALUATIONS} right-hand-side evaluations; "
                 "reduce the time or the model's energy scale")
         # H psi: the rows summed in order, diagonal first
         return -1j * (np.exp(rate * tt) * coeff * psi[source]).sum(axis=0)
 
-    try:
-        # an energy scale near the float range overflows the step-size
-        # control at once; the solve would need ~t * |H| steps anyway
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            sol = solve_ivp(rhs, (0.0, t), psi0, method="RK45",
-                            rtol=tol, atol=tol * 1e-3)
-    except FloatingPointError as exc:
-        raise CapacityError(
-            f"adaptive integration to t = {t:g} overflows ({exc}); "
-            "reduce the time or the model's energy scale") from exc
-    if not sol.success:
-        raise StiffnessError(f"adaptive integration failed: {sol.message}")
-    return StateVector(amplitudes=sol.y[:, -1].copy(), time=t)
+    states = np.tile(psi0, (grid.size, 1))
+    for sign in (1.0, -1.0):
+        ahead = sign * grid > 0.0
+        if not ahead.any():
+            continue
+        span, where = np.unique(np.abs(grid[ahead]), return_inverse=True)
+        try:
+            # an energy scale near the float range overflows the step-size
+            # control at once; the solve would need ~t * |H| steps anyway
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                sol = solve_ivp(rhs, (0.0, sign * span[-1]), psi0, method="DOP853",
+                                t_eval=sign * span, rtol=tol, atol=tol * 1e-3)
+        except FloatingPointError as exc:
+            raise CapacityError(
+                f"adaptive integration to t = {far:g} overflows ({exc}); "
+                "reduce the time or the model's energy scale") from exc
+        if not sol.success:
+            raise StiffnessError(f"adaptive integration failed: {sol.message}")
+        states[ahead] = sol.y.T[where]
+    if times.ndim == 0:
+        return StateVector(amplitudes=states[0], time=float(times))
+    return [StateVector(amplitudes=psi, time=float(ti)) for psi, ti in zip(states, grid)]
 
 
 def mat_exp_evolve(model: HamiltonianModel, z0: int, t) -> StateVector:

@@ -17,11 +17,13 @@ from ddyson import (
     build_single_spin,
     evolve,
     infidelity,
+    mat_exp_evolve,
     model_to_json,
     ode_evolve,
 )
 from ddyson import cli, validate
 from ddyson.cli import run
+from ddyson.validate import random_ti_model
 
 SPIN_ARGS = ["--model", "single_spin", "--param", "a=1", "--param", "b=0.5",
              "--param", "gamma=0.2"]
@@ -122,6 +124,50 @@ def test_evolve_flags_probabilities_above_one(tmp_path, capsys):
     assert any(float(r["prob"]) > 1 + 1e-6 for r in read_csv(out))
 
 
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """The arguments of each ``cli.ode_evolve`` call, in order."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ode_evolve(*args, **kwargs)
+    monkeypatch.setattr(cli, "ode_evolve", counted)
+    return calls
+
+
+def test_evolve_makes_one_oracle_call_per_grid(tmp_path, oracle_calls):
+    out = tmp_path / "grid.csv"
+    argv = ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0:0.5:5", "--Q", "4",
+            "--out", str(out)]
+    assert run([*argv, "--oracle"]) == 0
+    assert len(oracle_calls) == 1
+    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))
+    for row in read_csv(out):
+        want = ode_evolve(m, 0, float(row["t"])).amplitudes[int(row["z"])]
+        assert abs(complex(float(row["oracle_re"]), float(row["oracle_im"]))
+                   - want) <= 1e-10
+    assert run(argv) == 0
+    assert len(oracle_calls) == 1
+
+
+def test_evolve_oracle_grid_through_zero_matches_the_exponential(tmp_path, oracle_calls):
+    # negative times run backward from 0 in the same call
+    m = random_ti_model(np.random.default_rng(3), 1.0, dim=5)
+    cfg = tmp_path / "ti.json"
+    cfg.write_text(model_to_json(m), encoding="utf-8")
+    out = tmp_path / "grid.csv"
+    assert run(["evolve", "--model", str(cfg), "--z0", "0", "--t=-0.2:0.2:5",
+                "--Q", "3", "--oracle", "--out", str(out)]) == 0
+    assert len(oracle_calls) == 1
+    rows = read_csv(out)
+    assert sorted({float(r["t"]) for r in rows}) == list(np.linspace(-0.2, 0.2, 5))
+    for row in rows:
+        want = mat_exp_evolve(m, 0, float(row["t"])).amplitudes[int(row["z"])]
+        assert abs(complex(float(row["oracle_re"]), float(row["oracle_im"]))
+                   - want) <= 1e-9
+
+
 # -- infidelity sweep -------------------------------------------------------------
 
 def test_sweep_rows_match_direct_computation(tmp_path):
@@ -136,6 +182,12 @@ def test_sweep_rows_match_direct_computation(tmp_path):
         t, q = float(row["t"]), int(row["Q"])
         expected = infidelity(ode_evolve(m, 0, t), evolve(m, 0, t, q))
         assert float(row["infidelity"]) == pytest.approx(expected, abs=1e-12)
+
+
+def test_sweep_makes_one_oracle_call_per_grid(tmp_path, oracle_calls):
+    assert run(["infidelity-sweep", *SPIN_ARGS, "--z0", "0", "--t", "0.1:0.5:3",
+                "--Q", "0,2", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert len(oracle_calls) == 1
 
 
 # -- amplitude --------------------------------------------------------------------
@@ -413,7 +465,8 @@ def test_single_value_options_are_usage_errors(argv, capsys):
      "--t", "abc", "--Q", "3"],
     ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "abc", "--Q", "1"],
     ["infidelity-sweep", *SPIN_ARGS, "--z0", "0", "--t", "0:1:x", "--Q", "1"],
-], ids=["amplitude-t", "evolve-t", "sweep-steps"])
+    ["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0:1", "--Q", "1"],
+], ids=["amplitude-t", "evolve-t", "sweep-steps", "evolve-t-two-parts"])
 def test_non_numeric_times_are_usage_errors(argv, capsys):
     # the message reads as the option's, not the parser function's name
     with pytest.raises(SystemExit) as exc:

@@ -111,6 +111,18 @@ def test_dimension_mismatch_rejected():
         HamiltonianModel(energies=np.zeros(2), terms=(term,))
 
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: HamiltonianModel(energies=np.array([]), terms=m.terms), "nonempty 1-D"),
+    (lambda m: HamiltonianModel(energies=np.zeros((2, 1)), terms=m.terms), "nonempty 1-D"),
+    (lambda m: m.term(0), "outside"),
+    (lambda m: m.term(m.n_terms + 1), "outside"),
+    (lambda m: path_energies(m, ()), "nonempty index"),
+], ids=["energies-empty", "energies-2d", "term-0", "term-past-M", "empty-trajectory"])
+def test_out_of_shape_inputs_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(build_single_spin(SingleSpinParams(a=1.0, b=0.5)))
+
 # -- dense evaluation --------------------------------------------------------
 
 def test_single_spin_V_at_zero_is_bX():

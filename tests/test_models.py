@@ -68,6 +68,17 @@ def test_anharmonic_needs_headroom():
         AnharmonicParams(omega=1.0, Omega=2.0, gamma_eff=0.02, n_max=2 ** 16 + 1)
 
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: AnharmonicParams(omega=1.0, Omega=np.nan, gamma_eff=0.02, n_max=9), "finite"),
+    (lambda: AnharmonicParams(omega=0.0, Omega=2.0, gamma_eff=0.02, n_max=9), "> 0"),
+    (lambda: FermiParams(e_in=0.0, e_fin=np.inf, e_drive=0.8, gamma=0.1), "finite"),
+    (lambda: quartic_amplitude(3, 4), "ladder shift"),
+], ids=["anharmonic-nan", "anharmonic-omega-0", "fermi-inf", "ladder-shift-3"])
+def test_builtin_parameters_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
 def test_default_dimension_rule():
     assert anharmonic_default_dimension(4, 5) == 28
     assert anharmonic_default_dimension(0, 0) == 4

@@ -158,7 +158,8 @@ def _loop_ode_evolve(model, z0, t, tol=1e-10):
             hpsi[dst] += np.exp(1j * lam * tt) * d * psi[src]
         return -1j * hpsi
 
-    sol = solve_ivp(rhs, (0.0, t), psi0, method="RK45", rtol=tol, atol=tol * 1e-3)
+    sol = solve_ivp(rhs, (0.0, t), psi0, method="DOP853", t_eval=[t],
+                    rtol=tol, atol=tol * 1e-3)
     return sol.y[:, -1]
 
 
@@ -187,8 +188,8 @@ def test_stacked_rhs_matches_the_loop(free_model):
 
 
 def test_ode_evaluations_are_capped(monkeypatch):
-    # with the cap lowered to 2000, the oscillator at t = 0.065 (~800
-    # evaluations) still runs, and the spin at t = 1000 (~2e5) stops at it
+    # with the cap lowered to 2000, the oscillator at t = 0.065 (~270
+    # evaluations) still runs, and the spin at t = 1000 (~38,000) stops at it
     monkeypatch.setattr(oracles, "_ODE_MAX_EVALUATIONS", 2000)
     oscillator = build_anharmonic(AnharmonicParams(omega=1.0, Omega=2.0,
                                                    gamma_eff=0.02, n_max=28))
@@ -197,6 +198,37 @@ def test_ode_evaluations_are_capped(monkeypatch):
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="2000 right-hand-side evaluations"):
         ode_evolve(m, 0, 1000.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_ode_grid_is_one_solve_in_input_order():
+    # unsorted, repeated, negative and zero times on a time-independent model
+    m = random_ti_model(np.random.default_rng(3), 1.0, dim=5)
+    times = [1.1, -0.7, 0.0, 0.3, 0.3, -0.2]
+    states = ode_evolve(m, 0, np.array(times))
+    assert [st.time for st in states] == times
+    for st, t in zip(states, times):
+        assert np.abs(st.amplitudes - mat_exp_evolve(m, 0, t).amplitudes).max() <= 1e-11
+    assert np.array_equal(states[2].amplitudes, np.eye(5)[0])
+    # the farthest time ends the solve a one-time call makes; the others are
+    # read from its dense output
+    assert np.array_equal(states[0].amplitudes, ode_evolve(m, 0, 1.1).amplitudes)
+    for st, t in zip(states, times):
+        assert np.abs(st.amplitudes - ode_evolve(m, 0, t).amplitudes).max() <= 1e-10
+    one = ode_evolve(m, 0, np.array(0.3))
+    assert isinstance(one, StateVector) and one.time == 0.3
+    for bad in ([0.1, np.nan], [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            ode_evolve(m, 0, bad)
+
+
+def test_ode_grid_shares_one_evaluation_cap(monkeypatch):
+    # the cap counts over the whole grid, which is one solve out to t = 1000
+    monkeypatch.setattr(oracles, "_ODE_MAX_EVALUATIONS", 2000)
+    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="to t = 1000 took more than 2000"):
+        ode_evolve(m, 0, np.linspace(0.0, 1000.0, 10_000))
     assert time.perf_counter() - start < 1.0
 
 
