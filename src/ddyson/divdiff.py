@@ -8,18 +8,31 @@ off the top row of exp(-i t (diag(x) + S)), with S the superdiagonal of
 ones (the Opitz form of the divided-difference table), so no gap is ever
 divided by and repeated nodes need no special case.
 
-Every evaluation goes through ``exp_dd_batch``, which holds its rows
-node-major, an (n, B) array, from entry to result and centres them once
-on their means mu.  The time is split into s = 2^m slices with
-|tau (x_j - mu)| <= 1; one slice is the Taylor polynomial of degree
-n + E (n = q + 1 nodes, E = ``_EXTRA_DEGREE``), whose tail is below 1e-16
-relative to every entry.  Only the top row is carried, and a one-slice
-row updates only the band of at most E + 2 entries its last entry reads.
-Up to s = n slices a row is chained through the full O(n) update; past
-that its slice table is built once and squared m times, in extended
-precision.  Both first reorder the nodes so every run spans the cloud.
-The relative error grows as t * spread * eps, so a row past 2^52 slices,
-a phase t * |mu| past 2^52 or a value that overflows raises ValueError.
+Every evaluation runs one plan (``_plan``) through ``exp_dd_batch``.  The
+plan is one pass over the rows, in blocks of ``_PLAN_ROWS``: it validates
+them, holds them node-major, (n, B), centres them on their means mu and
+reads each row's a = max_j |t (x_j - mu)|.  It refuses rows past the
+kernel's range, cuts the time into s = 2^m slices with
+|tau (x_j - mu)| <= 2 (``_SLICE_CAP``), gives each one-slice row the
+Taylor degree n + E(a) (n = q + 1 nodes, E from the tail bound beside
+``_EXTRA_BOUNDS``) and flags the rows whose centred nodes are all real.
+It then sorts the rows into kernel calls (``_Chunk``) by slice count,
+realness and E, and counts the table operations those calls will spend
+(``_table_ops``): the engine budgets on that count and evaluates the same
+plan.
+
+One slice is one ``_taylor_last`` per chunk, at the band and degree of the
+chunk's largest E; each row adds only its own terms, so its value is bit
+for bit that of the row alone.  Only the top row's band of E + 2 entries
+that its last entry reads is carried.  A row whose centred nodes are real
+carries real arrays r_k, Taylor term k being (-i)^k r_k, and adds r_k to
+the real or the imaginary part by k mod 4: the roundings of the complex
+route, on real arithmetic.  A row of more slices is chained through the
+full O(n) update while 2s <= n; past that its slice table is built once
+and squared m times, in extended precision.  Both use degree n + E(2) and
+first reorder the nodes so every run spans the cloud.  The relative error
+grows as t * spread * eps, so a row with t |x_j - mu| or a phase t |mu|
+past 2^52, or a value that overflows, raises ValueError.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -30,38 +43,72 @@ from __future__ import annotations
 import math
 import operator
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateNodesError
 
 # Largest |tau * (x_j - mu)| one slice may cover.
-_SLICE_CAP = 1.0
-# Taylor degree past the node count: one slice over n nodes is the Taylor
-# polynomial of degree n + E, E = _EXTRA_DEGREE.  exp(-it Z) is
-# e^{-it mu} exp(-it (Z - mu)), so a slice is e^{-i tau mu} exp(bd + bs S)
-# with bd = -i tau (x - mu), bs = -i tau.  With |bd| <= _SLICE_CAP = 1,
-# Taylor term k adds at most tau^j / (j! (k - j)!) to entry j, whose value
-# is at least ~0.2 tau^j / j!, so the terms past degree n + E leave a tail
-# below 5 / (E + 2)! relative to each entry, ~4e-17 at E = 17.  A one-slice
-# row's last entry reads a band of E + 2 entries of each term
-# (``_taylor_band``).
-_EXTRA_DEGREE = 17
-# Most slices a row may need, 2^52, so t * spread stays below ~2^53.  The
+_SLICE_CAP = 2.0
+
+
+def _extra_bound(extra: int) -> float:
+    """The largest a with a^(E+2) / (E+2)! * e^(2a) <= e^2 / 19!, E = extra."""
+    limit = 2.0 - math.lgamma(20)
+    lo, hi = 0.0, 2.0 * _SLICE_CAP
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if (extra + 2) * math.log(mid) - math.lgamma(extra + 3) + 2.0 * mid <= limit:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Taylor degree past the node count.  exp(-it Z) is e^{-it mu} exp(-it (Z - mu)),
+# so a slice is e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu),
+# bs = -i tau, and a = max |bd|.  Taylor term k reaches the last entry of the
+# top row along the C(k, n - 1) orders of n - 1 steps of bs and k - n + 1 of
+# bd, so there it is at most T a^(k-n+1) / (k-n+1)!, T = |tau|^(n-1) / (n-1)!,
+# and the terms past degree n + E sum to at most T a^(E+2) / (E+2)! e^a.  The
+# value is T L, L the modulus of the mean of e^w over the simplex,
+# w = sum_j s_j bd_j, where w has mean 0 (bd is centred) and
+# E|w|^2 <= a^2 / (n + 1).  Up to a = 2 this gives L >= e^-a: for real
+# nodes w = i theta and L >= E cos theta >= 1 - a^2 / 6; for complex nodes
+# |L - 1| <= (e^a - 1 - a) / (n + 1) from n = 5, and L >= sin(a) / a at
+# n = 2 (the product of sinh z / z); at n = 3 and 4 a search over centred
+# nodes at a = 2 found L >= 0.65.  So the tail is below
+# a^(E+2) / (E+2)! e^(2a) relative to the value, and E(a) is the least E
+# that holds it to e^2 / 19! ~ 6e-17, the bound at a = 1 with E = 17:
+# E = 11 at a = 0.25, 14 at 0.5, 17 at 1 and 24 at 2.  _EXTRA_BOUNDS[E] is
+# the largest a that E covers.  A row of more slices carries every entry of
+# its tables, not only the centred last one; it takes E(2) on every slice,
+# and its accuracy rests on the tests against ``exp_dd_highprec``.
+_EXTRA_BOUNDS = [_extra_bound(0)]
+while _EXTRA_BOUNDS[-1] < _SLICE_CAP:
+    _EXTRA_BOUNDS.append(_extra_bound(len(_EXTRA_BOUNDS)))
+_EXTRA_BOUNDS = np.array(_EXTRA_BOUNDS)
+_CAP_EXTRA = len(_EXTRA_BOUNDS) - 1
+# The kernel's range: t * |x_j - mu| and t * |mu| at most 2^52.  The
 # result's relative error grows as t * spread * eps (against
 # ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
 # 1e8, 9e-5 at 1e13, 1.5e-2 at 1e16), and past 1 / eps = 2^52 no digit of
-# it is significant.  The phase e^{-i t mu} has the same limit in t * |mu|.
-_MAX_SLICE_EXPONENT = 52
-_RANGE = 2.0 ** _MAX_SLICE_EXPONENT
-_PAST_RANGE = (f"is past the kernel's range 2^{_MAX_SLICE_EXPONENT}: no digit "
-               "of the divided difference would be significant")
+# it is significant; the phase e^{-i t mu} has the same limit.  The most
+# slices a row may take is 2^51.
+_RANGE = 2.0 ** 52
+_PAST_RANGE = ("is past the kernel's range 2^52: no digit of the divided "
+               "difference would be significant")
 # Work budget of one kernel call: its largest array holds at most this many
-# complex elements, B * (n + 1) on the vector routes (the one-slice buffers
-# carry a zero pad row) and B * n^2 on the squaring route.  ``exp_dd_batch``
-# splits larger batches into row chunks under it (one row per chunk once
-# n + 1, or n^2, alone exceeds it).
+# elements, B * (n + 1) on the vector routes (the one-slice buffers carry a
+# zero pad row) and B * n^2 on the squaring route.  The plan cuts larger
+# groups of rows into chunks under it (one row per chunk once n + 1, or
+# n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
+# Rows the plan transposes, centres and reads together: its passes stay in
+# cache (a 16,384-row random K = 2 batch took 17.2 ms in one pass and
+# 13.4 ms in four).
+_PLAN_ROWS = 4096
 
 
 def as_nodes(inputs) -> np.ndarray:
@@ -88,46 +135,59 @@ def _check_int(value, name: str, low: int = 0, error=ValueError) -> int:
     return value
 
 
+def _check_real(t) -> None:
+    """TypeError for a complex time or time array, numpy ones included
+    (``float`` and ``asarray(dtype=float)`` would drop the imaginary part)."""
+    if np.iscomplexobj(t):
+        raise TypeError(f"time must be real, got {t!r}")
+
+
 def _check_time(t) -> float:
+    _check_real(t)
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("time must be finite")
     return t
 
 
-def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row means mu and centred nodes of a node-major (n, B) batch.
+def _centered(xt: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Row means mu and centred nodes of a node-major (n, B) batch (the
+    nodes written to ``out`` if given).
 
     Reduced node by node (here and below): numpy reduces each short row
     of a (B, n) batch 2-3x more slowly than it combines long node rows.
     """
     mu = reduce(np.add, xt) / len(xt)
-    return mu, xt - mu
+    return mu, np.subtract(xt, mu, out=out)
 
 
-def _slice_exponents(t, x: np.ndarray) -> np.ndarray:
-    """``_exponents`` of a (B, n) node batch: the m of each row's slice
-    count 2^m, as ``exp_dd_batch(t, x)`` picks it, with its range rule."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _exponents(t, *_centered(np.ascontiguousarray(x.T)))
-
-
-def _exponents(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Per row of a node-major batch with ``_centered`` means mu and nodes
-    delta, the m of its slice count s = 2^m: the least with
-    |t (x_j - mu)| / s <= _SLICE_CAP (``t``: one time, or one per row).
-    Raises ValueError past the kernel's range: past m =
-    ``_MAX_SLICE_EXPONENT``, or where the phase t |mu| passes 2^52."""
-    amax = np.abs(t * delta).max(axis=0)
+def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per row of a node-major block with ``_centered`` means mu and nodes
+    delta, at one time ``t`` or one per row: its kernel sort key
+    32 (2m + c) + E, for s = 2^m slices (the least m with
+    max_j |t (x_j - mu)| / s <= ``_SLICE_CAP``), c = 0 where s = 1 and
+    every centred node is real, and E its extra Taylor degree (E(2) past
+    one slice).  Raises ValueError past the kernel's range, where
+    t |x_j - mu| or t |mu| passes 2^52."""
+    # |z| as sqrt(re^2 + im^2), several times faster than numpy's complex
+    # abs (hypot); t * delta past ~1e154, where a square overflows, is
+    # past the range either way
+    scaled = t * delta
+    amax = np.sqrt((np.square(scaled.real) + np.square(scaled.imag)).max(axis=0))
+    top = amax.max(initial=0.0)
     # nan and inf fail these tests too
-    if not (amax <= _SLICE_CAP * _RANGE).all():
+    if not top <= _RANGE:
         raise ValueError(f"time times node distance from the mean, "
-                         f"{np.max(amax):.3g}, {_PAST_RANGE}")
+                         f"{top:.3g}, {_PAST_RANGE}")
     phase = np.abs(t * mu).max(initial=0.0)
     if not phase <= _RANGE:
         raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
-    mant, exp = np.frexp(amax / _SLICE_CAP)
-    return np.maximum(0, exp - (mant == 0.5))
+    key = np.searchsorted(_EXTRA_BOUNDS, amax) + 32 * (delta.imag != 0).any(axis=0)
+    if top > _SLICE_CAP:
+        mant, exp = np.frexp(amax / _SLICE_CAP)
+        m = np.maximum(0, exp - (mant == 0.5))
+        key = np.where(m > 0, 64 * m + 32 + _CAP_EXTRA, key)
+    return key.astype(np.int16)
 
 
 def _squares(n_slices: int, n: int) -> bool:
@@ -136,41 +196,111 @@ def _squares(n_slices: int, n: int) -> bool:
     Chaining costs s (n + E) O(n) row updates, squaring (n + E) O(n^2)
     table updates plus log2(s) O(n^3) products, in extended precision.
     Measured at B = 256 rows (n = 6 to 31), chaining stays the faster route
-    up to s ~ 7n to 13n, with its largest array at B * n.  It stops at
-    s = n for accuracy: in double precision, chained or squared tables lose
-    up to ~1e-11 relative once t * spread passes ~100, and s <= n keeps
+    up to s ~ 7n to 13n slices of |tau delta| <= 1, with its largest array
+    at B * n.  It stops at t * spread ~ 2n for accuracy: in double
+    precision, chained or squared tables lose up to ~1e-11 relative once
+    t * spread passes ~100, and s * ``_SLICE_CAP`` <= n keeps
     t * spread <= 2n.  Single rows would favour squaring from s = 4 to 16,
     but batches set the cost of a run.
     """
-    return n_slices > n
+    return n_slices * _SLICE_CAP > n
 
 
-def _table_ops(n: int, n_slices: int) -> int:
-    """Table operations ``_exp_dd_core`` spends on one row of n nodes.
+def _table_ops(n: int, n_slices: int, extra: int) -> int:
+    """Table operations ``_exp_dd_core`` spends on one row of n nodes at
+    Taylor degree n + extra.
 
     Two operations per entry a Taylor term updates.  One slice updates only
-    the ``_taylor_band`` of each of its n + E terms (E = ``_EXTRA_DEGREE``),
-    (E + 2) n - 1 entries in all.  Chained slices update all n entries of
-    every term; the squaring route builds one n x n table the same way, then
-    takes log2(n_slices) products of n^3.  A single node is one exponential.
+    the ``_taylor_band`` of each of its n + E terms, (E + 2) n - 1 entries
+    in all.  Chained slices update all n entries of every term; the
+    squaring route builds one n x n table the same way, then takes
+    log2(n_slices) products of n^3.  A single node is one exponential.
     """
     if n == 1:
         return 1
     if n_slices == 1:
-        return 2 * ((_EXTRA_DEGREE + 2) * n - 1)
-    degree = n + _EXTRA_DEGREE
+        return 2 * ((extra + 2) * n - 1)
+    degree = n + extra
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
     return n_slices * degree * 2 * n
 
 
-def _batch_work(t, x: np.ndarray) -> int:
-    """Table operations ``exp_dd_batch(t, x)`` spends on a (B, n) node
-    batch, each row at its own slice count: the engine's work budget.
-    Raises ValueError where the kernel refuses the batch for range (a value
-    that overflows is found only by evaluating it)."""
-    counts = np.bincount(_slice_exponents(t, x)).tolist()
-    return sum(c * _table_ops(x.shape[1], 1 << m) for m, c in enumerate(counts))
+class _Chunk(NamedTuple):
+    """The rows of one kernel call: their batch indices, the slice count,
+    each row's extra degree E (ascending on one slice), and whether every
+    centred node is real (then one slice)."""
+
+    rows: slice | np.ndarray
+    n_slices: int
+    extra: np.ndarray
+    real: bool
+
+
+class _Plan(NamedTuple):
+    """One batch made ready for the kernel by ``_plan``: the time (one, or
+    one per row), the node rows (B, n), their means (B,) and centred nodes
+    (n, B), the kernel calls, and the table operations they will spend."""
+
+    t: float | np.ndarray
+    x: np.ndarray
+    mu: np.ndarray
+    delta: np.ndarray
+    chunks: tuple
+    work: int
+
+
+def _plan(t, node_rows) -> _Plan:
+    """Validate a 2-D array of node rows and plan its evaluation at one
+    time ``t`` or at one time per row (see the module docstring).
+
+    Raises ValueError on a bad array or time array and past the kernel's
+    range, TypeError on a complex time (a value that overflows is found
+    only by evaluating it).
+    """
+    x = np.asarray(node_rows, dtype=complex)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValueError("expected a nonempty 2-D array of node rows")
+    if not np.isfinite(x).all():
+        raise ValueError("divided-difference inputs must be finite")
+    B, n = x.shape
+    per_row = np.ndim(t) != 0
+    if per_row:
+        _check_real(t)
+        t = np.asarray(t, dtype=float)
+        if t.shape != (B,) or not np.isfinite(t).all():
+            raise ValueError(f"expected one finite time per row ({B})")
+    else:
+        t = _check_time(t)
+    mu = np.empty(B, dtype=complex)
+    delta = np.empty((n, B), dtype=complex)
+    key = np.empty(B, dtype=np.int16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, B, _PLAN_ROWS):
+            block = slice(start, start + _PLAN_ROWS)
+            mu[block], d = _centered(np.ascontiguousarray(x[block].T), delta[:, block])
+            key[block] = _row_keys(t[block] if per_row else t, mu[block], d)
+    # rows of one slice count and realness form a group, in E order
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    group = key >> 5
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), B] if B else []
+    chunks, work = [], 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        m, complex_ = divmod(int(group[lo]), 2)
+        n_slices = 1 << m
+        step = max(1, _CHUNK_ELEMENTS // (
+            n * n if n_slices > 1 and _squares(n_slices, n) else n + 1))
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            rows = order[start:stop]
+            # a run of consecutive rows is read as a view, not gathered
+            if (np.diff(rows) == 1).all():
+                rows = slice(int(rows[0]), int(rows[-1]) + 1)
+            extra = key[start:stop] & 31
+            chunks.append(_Chunk(rows, n_slices, extra, not complex_))
+            work += (stop - start) * _table_ops(n, n_slices, int(extra[-1]))
+    return _Plan(t, x, mu, delta, tuple(chunks), work)
 
 
 @lru_cache(maxsize=None)
@@ -215,75 +345,115 @@ def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _taylor_band(n: int) -> tuple:
-    """The band of each Taylor term k = 1 .. n + E of a one-slice row
-    (E = ``_EXTRA_DEGREE``) whose last entry alone is read: (1/k, the
-    buffer rows the term writes, the node rows it reads (in a buffer, the
-    previous term's entries one below), whether it reaches the last entry).
+def _inverse(k: int) -> tuple:
+    """1/k as 0-d complex and real arrays: a 0-d array operand costs numpy
+    less than a Python scalar."""
+    pair = (np.array(1.0 / k, dtype=complex), np.array(1.0 / k))
+    for a in pair:
+        a.setflags(write=False)
+    return pair
+
+
+def _taylor_band(n: int, extra: int):
+    """The band of each Taylor term k = 1 .. n + E of a one-slice row of
+    degree n + E (E = extra) whose last entry alone is read: yields (1/k
+    as ``_inverse`` gives it, the buffer rows the term writes, the node rows
+    it reads (in a buffer, the previous term's entries one below), whether
+    it reaches the last entry).
 
     Term k is zero past entry k, and its entry j reaches the last entry
     only through n - 1 - j more terms, so entries with k - j > E + 1 are
     never read (degree n + E).  Term k spans entries max(0, k - E - 1) ..
-    min(k, n - 1), at most E + 2.  Buffer row j + 1 holds entry j; row 0 is
-    a zero pad, so the shifted add needs no special first entry.
+    min(k, n - 1), at most E + 2, and reads only entries of the band of
+    term k - 1, so a wider band computes these entries the same.  Buffer
+    row j + 1 holds entry j; row 0 is a zero pad, so the shifted add needs
+    no special first entry.  Not cached: a round can use a hundred or more
+    (n, E) pairs, and a band costs little next to its terms.
     """
-    steps = []
-    for k in range(1, n + _EXTRA_DEGREE + 1):
-        lo, hi = max(0, k - _EXTRA_DEGREE - 1), min(k, n - 1) + 1
-        # a 0-d array operand costs numpy less than a Python scalar
-        inv_k = np.array(1.0 / k, dtype=complex)
-        inv_k.setflags(write=False)
-        steps.append((inv_k, slice(lo + 1, hi + 1), slice(lo, hi), hi == n))
-    return tuple(steps)
+    for k in range(1, n + extra + 1):
+        lo = k - extra - 1 if k > extra + 1 else 0
+        hi = k + 1 if k < n else n
+        yield _inverse(k), slice(lo + 1, hi + 1), slice(lo, hi), hi == n
 
 
-def _taylor_last(bd: np.ndarray, bs) -> np.ndarray:
+def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
     """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
-    (n, B) with n >= 2, by its Taylor polynomial of degree n + E.
+    (n, B) with n >= 2, each column b by its Taylor polynomial of degree
+    n + extra[b] (``extra`` ascending).
 
-    Each term updates only its ``_taylor_band``, with the operations of
-    ``_taylor`` started from e_0, in the same order, so the last entry is
-    bit for bit the same.  Only that entry is summed.
+    Each term updates only the ``_taylor_band`` of the largest extra, with
+    the operations of ``_taylor`` started from e_0, in the same order, so
+    the last entry is bit for bit the same; column b adds terms up to its
+    own degree only, a suffix of the columns at each term.  A real bd and
+    bs stand for -i bd and -i bs: term k is then (-i)^k times the real
+    term computed, and each operation on it rounds as the complex route
+    rounds the part of its term that is not zero, so term k adds to the
+    real or the imaginary part by k mod 4 and the value is bit for bit the
+    complex route's.
     """
     n, B = bd.shape
-    bs = np.array(bs)  # 0-d, as each 1/k of the band
+    top = int(extra[-1])
+    # column b adds term k while k <= n + extra[b]: from first[k - 1] on
+    first = np.searchsorted(extra, np.arange(1 - n, top + 1)).tolist()
+    real = not np.iscomplexobj(bd)
+    bs = np.array(bs)  # 0-d, as each 1/k
     term = np.zeros((n + 1, B), dtype=bd.dtype)
     term[1] = 1.0
     # entries above a term's band are read as zeros, so this buffer is
     # zeroed too, not just allocated
     nxt = np.zeros_like(term)
     tail, tail_nxt = term[n], nxt[n]
-    last = np.zeros(B, dtype=bd.dtype)
-    for inv_k, rows, nodes, at_last in _taylor_band(n):
+    last = np.zeros(B, dtype=complex)
+    if real:
+        sums = ((last.real, np.add), (last.imag, np.subtract),
+                (last.real, np.subtract), (last.imag, np.add))
+    else:
+        sums = ((last, np.add),) * 4
+    for k, (inv_k, rows, nodes, at_last) in enumerate(_taylor_band(n, top), 1):
         out = nxt[rows]
         np.multiply(term[rows], bd[nodes], out)
         out += bs * term[nodes]
-        out *= inv_k
+        out *= inv_k[real]
         term, nxt = nxt, term
         tail, tail_nxt = tail_nxt, tail
         if at_last:
-            last += tail
+            acc, add = sums[k % 4]
+            s = first[k - 1]
+            if s:
+                add(acc[s:], tail[s:], out=acc[s:])
+            else:
+                add(acc, tail, out=acc)
     return last
 
 
-def _exp_dd_core(t, xt: np.ndarray, mu: np.ndarray, delta: np.ndarray,
-                 n_slices: int) -> np.ndarray:
-    """Values e^{-i t [x_0b, ..., x_(n-1)b]} of the columns b of a
-    node-major (n, B) batch ``xt``, given its ``_centered`` means and
-    nodes, at one time ``t`` or one per column, cut into ``n_slices``.
+def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
+    """Values e^{-i t [x_0b, ..., x_(n-1)b]} of the rows b of one chunk of
+    a plan.
 
-    One slice runs through ``_taylor_last``; chained slices carry (n, B)
-    rows and the squaring route (n, n, B) tables through ``_taylor`` (see
+    One slice runs through ``_taylor_last``, on real arrays where the
+    chunk's centred nodes are real; chained slices carry (n, B) rows and
+    the squaring route (n, n, B) tables through ``_taylor`` (see
     ``_table_ops``).  Only ``exp_dd_batch`` calls it.
     """
-    n = len(xt)
-    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA_DEGREE``
+    rows, n_slices = chunk.rows, chunk.n_slices
+    t = plan.t[rows] if np.ndim(plan.t) else plan.t
+    mu = plan.mu[rows]
+    n = len(plan.delta)
+    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA_BOUNDS``
     if n == 1:
         return np.exp(-1j * t * mu)
+    # take keeps a gathered block node-major (fancy indexing would not)
+    delta = (plan.delta[:, rows] if isinstance(rows, slice)
+             else plan.delta.take(rows, axis=1))
     if n_slices == 1:
-        return _taylor_last(-1j * t * delta, -1j * t) * np.exp(-1j * t * mu)
+        if chunk.real:
+            last = _taylor_last(t * delta.real, t, chunk.extra)
+        else:
+            last = _taylor_last(-1j * t * delta, -1j * t, chunk.extra)
+        return last * np.exp(-1j * t * mu)
 
     # one slice is accurate in any node order; chaining is not
+    xt = np.ascontiguousarray(plan.x[rows].T)
     xt = np.take_along_axis(xt, _spread_order(delta), axis=0)
     squares = _squares(n_slices, n)
     # the products of a squaring cancel more than a row update does;
@@ -291,16 +461,17 @@ def _exp_dd_core(t, xt: np.ndarray, mu: np.ndarray, delta: np.ndarray,
     mu, delta = _centered(xt.astype(np.clongdouble) if squares else xt)
     tau = t / n_slices
     bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
+    degree = n + _CAP_EXTRA
     if not squares:
-        rows = np.zeros(xt.shape, dtype=complex)
-        rows[0] = 1.0
+        r = np.zeros(xt.shape, dtype=complex)
+        r[0] = 1.0
         for _ in range(n_slices):
-            rows = _taylor(rows, bd, bs, n + _EXTRA_DEGREE) * phase
-        return rows[-1]
+            r = _taylor(r, bd, bs, degree) * phase
+        return r[-1]
     # table[j, i, b] is entry (i, j) of row b's slice table, and matmul
     # reads its matrices on axes (1, 0)
     eye = np.broadcast_to(np.eye(n, dtype=delta.dtype)[:, :, None], (n, n, len(mu)))
-    table = _taylor(eye, bd[:, None], bs, n + _EXTRA_DEGREE) * phase
+    table = _taylor(eye, bd[:, None], bs, degree) * phase
     for _ in range(n_slices.bit_length() - 1):
         table = np.matmul(table, table, axes=[(1, 0)] * 3)
     return table[-1, 0].astype(complex)
@@ -317,46 +488,23 @@ def exp_dd(t, inputs) -> complex:
     return complex(exp_dd_batch(t, as_nodes(inputs)[None])[0])
 
 
-def exp_dd_batch(t, node_rows) -> np.ndarray:
+def exp_dd_batch(t, node_rows, *, plan: _Plan | None = None) -> np.ndarray:
     """``exp_dd`` of each row of a 2-D node array, at one time ``t`` or at
     one time per row (a 1-D array of finite times, one per row).
 
-    The rows are held node-major, (n, B), and centred once: the same means
-    and centred nodes pick each row's slice count and feed the one-slice
-    route.  Rows that share a count run in chunks under the
-    ``_CHUNK_ELEMENTS`` budget.  A row's value equals ``exp_dd`` of that
+    ``plan``, if given, is ``_plan(t, node_rows)`` made earlier (the
+    engine's budget counts it first); else the call makes it.  Each of its
+    chunks is one kernel call.  A row's value equals ``exp_dd`` of that
     row at its time, bit for bit.  Raises ValueError on a bad time array,
-    and past the kernel's range: where t * |x_j - mean| or t * |mean|
-    passes 2^52, or a value overflows.
+    TypeError on a complex time, and ValueError past the kernel's range:
+    where t * |x_j - mean| or t * |mean| passes 2^52, or a value overflows.
     """
-    x = np.asarray(node_rows, dtype=complex)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValueError("expected a nonempty 2-D array of node rows")
-    if not np.isfinite(x).all():
-        raise ValueError("divided-difference inputs must be finite")
-    B, n = x.shape
-    per_row = np.ndim(t) != 0
-    if per_row:
-        t = np.asarray(t, dtype=float)
-        if t.shape != (B,) or not np.isfinite(t).all():
-            raise ValueError(f"expected one finite time per row ({B})")
-    else:
-        t = _check_time(t)
-    xt = np.ascontiguousarray(x.T)
-    out = np.empty(B, dtype=complex)
+    if plan is None:
+        plan = _plan(t, node_rows)
+    out = np.empty(len(plan.mu), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        mu, delta = _centered(xt)
-        exponents = _exponents(t, mu, delta)
-        for m, count in enumerate(np.bincount(exponents).tolist()):
-            n_slices = 1 << m
-            step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n + 1))
-            # a batch of one slice count is cut into views, not copies
-            rows = np.flatnonzero(exponents == m) if 0 < count < B else None
-            for start in range(0, count, step):
-                chunk = (slice(start, start + step) if rows is None
-                         else rows[start:start + step])
-                out[chunk] = _exp_dd_core(t[chunk] if per_row else t, xt[:, chunk],
-                                          mu[chunk], delta[:, chunk], n_slices)
+        for chunk in plan.chunks:
+            out[chunk.rows] = _exp_dd_core(plan, chunk)
     if not np.isfinite(out).all():
         raise ValueError("a divided difference is past 1.8e308, out of the kernel's range")
     return out

@@ -33,11 +33,13 @@ order, pushed on the depth-first stack of blocks to expand, in blocks small
 enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory stays bounded.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
-per call.  ``evolve_by_order`` adds each batch's cost just before the
-kernel evaluates it, by the kernel's own count (``divdiff._batch_work``,
-each row at its own slice count), and ``enumerate_paths`` the one-slice
-cost of each path it yields; either raises ``CapacityError`` before the
-kernel runs past the budget.
+per call.  ``evolve_by_order`` plans each batch once (``divdiff._plan``:
+each row's slice count and Taylor degree, sorted into kernel calls), adds
+the plan's count of the table operations those calls will spend, and
+hands the kernel that same plan; ``enumerate_paths`` adds for each path
+it yields the one-slice cost at the largest one-slice degree, an upper
+bound on what the kernel spends on a one-slice row.  Either raises
+``CapacityError`` before the kernel runs past the budget.
 """
 
 from __future__ import annotations
@@ -48,16 +50,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_batch_work, _check_int, _check_time, _table_ops, exp_dd,
-                      exp_dd_batch)
+from .divdiff import (_CAP_EXTRA, _check_int, _check_time, _plan, _table_ops,
+                      exp_dd, exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
 # Kernel table operations one call may spend, ~2.0e8.  The oscillator
-# (z0 = 4, t = 0.06) passes at Q = 7 (1.67e8 operations at the banded
-# one-slice count, ~1.3 s on 2 cores); inputs past the budget raise within
-# ~1 s, or ~3 s where rows take the squaring route (long-time fermi).
+# (z0 = 4, t = 0.06) passes at Q = 7 (1.43e8 operations as the plans count
+# them, ~0.6 s on 2 cores), and the two-level cosine drive of the tests
+# (t = 0.5) is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise
+# within ~1 s; ~1.5 s where low-degree rows make the frontier, which the
+# budget does not count, cost as much as the kernel (the tests' M * K = 200
+# random model at t = 0.05); ~2 s where rows take the squaring route
+# (long-time fermi).
 _WORK_LIMIT = 3 * 2 ** 26
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
@@ -233,7 +239,7 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     stack = [((), (), (z,))]
     while stack:
         terms, factors, trajectory = stack.pop()
-        work += _table_ops(len(trajectory), 1)
+        work += _table_ops(len(trajectory), 1, _CAP_EXTRA)
         if work > _WORK_LIMIT:
             raise _over_budget(work, len(terms))
         yield Path(terms=terms, factors=factors, trajectory=trajectory)
@@ -344,11 +350,12 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
     partial sums over rows give every truncation at once.  Each batch of
-    rows, the root or one block's merged children, takes one step: the
-    budget counts it, one ``exp_dd_batch`` call evaluates that same array,
-    row (z, v, weight) adding weight * e^{-it[v]} at z (v relative to the
-    picture's origin), and below max_order it goes on the stack in blocks
-    of at most 10 * _BLOCK_ROWS // (M * K) rows, each expanded whole.
+    rows, the root or one block's merged children, takes one step: it is
+    planned once, the budget counts the plan, one ``exp_dd_batch`` call
+    evaluates that same plan, row (z, v, weight) adding weight * e^{-it[v]}
+    at z (v relative to the picture's origin), and below max_order it goes
+    on the stack in blocks of at most 10 * _BLOCK_ROWS // (M * K) rows,
+    each expanded whole.
     Deterministic.  Raises CapacityError where the output would hold more
     than ``_WORK_LIMIT`` entries, before anything is allocated, or once the
     batches counted so far would cost the kernel more than the work budget;
@@ -385,10 +392,13 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
         q, parent = stack.pop()
         q += 1
         rows = root if parent is None else _children(parent, landing, origin, *tables)
-        work += _batch_work(t, rows.y)
+        plan = _plan(t, rows.y)
+        work += plan.work
         if work > _WORK_LIMIT:
             raise _over_budget(work, q)
-        values = rows.weight * exp_dd_batch(t, rows.y)
+        values = rows.weight * exp_dd_batch(t, rows.y, plan=plan)
+        # not held while the next children are built
+        del plan
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
         if q < max_order:

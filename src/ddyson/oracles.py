@@ -33,7 +33,7 @@ import functools
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .divdiff import _check_int, _check_time, as_nodes
+from .divdiff import _check_int, _check_real, _check_time, as_nodes
 from .engine import StateVector
 from .errors import (CapacityError, DegenerateNodesError, ModelError,
                      StiffnessError)
@@ -116,7 +116,7 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
     negative or 0 (which gives |z0> exactly); each sign is one DOP853 solve
     outward from 0 that reads its sorted distinct |t| from the dense output,
     so a grid costs about its farthest time.  A non-finite or 2-D ``t`` is a
-    ValueError.
+    ValueError, and a complex one a TypeError.
 
     H(t) psi is one sum over a stack of gather rows indexed by landing
     state: the diagonal first, then one row per (term, factor).  Raises
@@ -127,6 +127,7 @@ def ode_evolve(model: HamiltonianModel, z0: int, t,
 
     _check_dense(model)
     z0 = _check_index(model, z0)
+    _check_real(t)
     times = np.asarray(t, dtype=float)
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise ValueError("t must be one finite time or a 1-D array of them")

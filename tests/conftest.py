@@ -13,13 +13,15 @@ from ddyson import divdiff
 @pytest.fixture
 def kernel_work(monkeypatch):
     """The table operations of each ``_exp_dd_core`` call made while the
-    test runs, by the kernel's own cost formula, in call order."""
+    test runs, by the kernel's own cost formula, in call order: each row
+    evaluated at the chunk's slice count and its largest extra degree."""
     ran = []
     core = divdiff._exp_dd_core
 
-    def recorded(t, xt, mu, delta, n_slices):
-        values = core(t, xt, mu, delta, n_slices)
-        ran.append(xt.shape[1] * divdiff._table_ops(len(xt), n_slices))
+    def recorded(plan, chunk):
+        values = core(plan, chunk)
+        ran.append(len(values) * divdiff._table_ops(
+            len(plan.delta), chunk.n_slices, int(max(chunk.extra))))
         return values
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)

@@ -362,8 +362,9 @@ def test_criterion_10_kernel_stress():
         reference = exp_dd_highprec(t, nodes, digits=60)
         errors.append(abs(exp_dd(t, nodes) - reference) / abs(reference))
         # the kernel's own count, as the work budget reads it
-        n_slices = 1 << int(divdiff._slice_exponents(t, nodes[None])[0])
-        ops.append(divdiff._batch_work(t, nodes[None]) / n_slices / (q + 1) ** 2)
+        plan = divdiff._plan(t, nodes[None])
+        (chunk,) = plan.chunks
+        ops.append(plan.work / chunk.n_slices / (q + 1) ** 2)
     worst, worst_ops = np.max(errors), np.max(ops)
     # per-slice work: one table row product (<= (q+1)^2 / 2 madds) plus the
     # Taylor build amortized over slices; <= 96 (q+1)^2 covers the

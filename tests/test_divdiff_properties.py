@@ -47,6 +47,19 @@ def test_relative_error_against_self_checking_oracle(nodes, log_scale):
     assert abs(exp_dd(t, np.sort(nodes)) - reference) <= 1e-12 * abs(reference)
 
 
+@settings(max_examples=50, deadline=None)
+@given(nodes=node_sets(min_q=1, max_clusters=0),
+       a=st.one_of(st.just(1.0), st.just(2.0), st.floats(1.0, 2.0)))
+def test_relative_error_up_to_the_slice_cap(nodes, a):
+    # centred rows at a = max_j |t (x_j - mu)| in [1, 2], one slice at the
+    # largest degrees of the tail bound (a = 2 may round to two slices);
+    # centred, so t |x| <= a and the phase adds no rounding of its own
+    x = nodes - nodes.mean()
+    t = a / float(np.abs(x).max())
+    reference = exp_dd_highprec(t, x)
+    assert abs(exp_dd(t, x) - reference) <= 1e-12 * abs(reference)
+
+
 @settings(max_examples=100, deadline=None)
 @given(q=st.integers(0, 60), t=st.floats(1e-3, 1e2), re=st.floats(-1.0, 1.0),
        decay=st.floats(0.0, 1.0))
@@ -80,22 +93,24 @@ def test_single_spin_converges_to_expm(order):
 def test_long_time_work_grows_with_log_slices(nodes, log_scale):
     n = nodes.size
     t = 10.0 ** log_scale / _spread(nodes)
-    x = nodes[None]
-    m, m_doubled = (int(divdiff._slice_exponents(s, x)[0]) for s in (t, 2.0 * t))
-    work, doubled = divdiff._batch_work(t, x), divdiff._batch_work(2.0 * t, x)
+    plan, plan_doubled = (divdiff._plan(s, nodes[None]) for s in (t, 2.0 * t))
+    (chunk,), (chunk_doubled,) = plan.chunks, plan_doubled.chunks
+    m = chunk.n_slices.bit_length() - 1
+    work, doubled = plan.work, plan_doubled.work
     # twice the time is one more squaring of an n x n table, not twice the work
-    assert m_doubled == m + 1
+    assert chunk_doubled.n_slices == 2 ** (m + 1)
     assert doubled - work <= n ** 3
-    degree = n + divdiff._EXTRA_DEGREE
+    degree = n + divdiff._CAP_EXTRA
     assert work <= 2 * degree * n * n + m * n ** 3
 
 
 def test_long_time_three_nodes():
-    # 2^17 slices; t |x| eps ~ 1e-11 is the rounding of the phase alone
+    # 2^16 slices of |tau (x_j - mu)| <= 2; t |x| eps ~ 1e-11 is the
+    # rounding of the phase alone
     x = [0.3, -0.7 - 0.1j, 0.9]
     value = exp_dd(1e5, x)
     reference = exp_dd_highprec(1e5, x)
-    assert divdiff._slice_exponents(1e5, np.array([x]))[0] == 17
+    assert divdiff._plan(1e5, np.array([x])).chunks[0].n_slices == 2 ** 16
     assert abs(value - reference) <= 1e-10 * abs(reference)
 
 

@@ -451,7 +451,7 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
     rows = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: rows.append(len(nodes)) or batch(t, nodes))
+                        lambda t, nodes, **kw: rows.append(len(nodes)) or batch(t, nodes, **kw))
     for picture in ("schrodinger", "interaction"):
         want = per_path_orders(m, 0, t, Q, picture)
         rows.clear()
@@ -549,7 +549,7 @@ def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     calls = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: calls.append(len(nodes)) or batch(t, nodes))
+                        lambda t, nodes, **kw: calls.append(len(nodes)) or batch(t, nodes, **kw))
     for picture in PICTURES:
         calls.clear()
         evolve_by_order(oscillator(4, 5), 4, 0.06, 5, picture)
@@ -573,9 +573,9 @@ def _record_kernel_arrays(monkeypatch):
         shapes.append(r.shape)
         return taylor(r, *args)
 
-    def recorded_last(bd, bs):
+    def recorded_last(bd, bs, extra):
         shapes.append((bd.shape[0] + 1, bd.shape[1]))
-        return taylor_last(bd, bs)
+        return taylor_last(bd, bs, extra)
 
     monkeypatch.setattr(divdiff, "_taylor", recorded)
     monkeypatch.setattr(divdiff, "_taylor_last", recorded_last)
@@ -585,7 +585,8 @@ def _record_kernel_arrays(monkeypatch):
 def test_kernel_calls_stay_within_work_budget(monkeypatch):
     shapes = _record_kernel_arrays(monkeypatch)
     nodes = np.random.default_rng(40).uniform(-1.0, 1.0, (3000, 12))
-    # t = 0.5 needs one slice (vector route); t = 50 needs 64 > 12 (squaring)
+    # t = 0.5 needs one slice (vector route); t = 50 needs 16 to 64 slices,
+    # 2s > 12 (squaring)
     for t, rows, ndim in ((0.5, 3000, 2), (50.0, 600, 3)):
         shapes.clear()
         values = divdiff.exp_dd_batch(t, nodes[:rows])
@@ -601,7 +602,7 @@ def test_engine_kernel_calls_stay_within_work_budget(monkeypatch):
     widths = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: widths.append(nodes.size) or batch(t, nodes))
+                        lambda t, nodes, **kw: widths.append(nodes.size) or batch(t, nodes, **kw))
     # this model hands exp_dd_batch wider batches than the budget allows
     model = random_ti_model(np.random.default_rng(43), 0.4)
     evolve_ti(model, 0, 0.4, 20)
@@ -687,7 +688,7 @@ def test_values_do_not_depend_on_block_size(picture, monkeypatch):
     calls, default = [], engine._BLOCK_ROWS
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: calls.append(len(nodes)) or batch(t, nodes))
+                        lambda t, nodes, **kw: calls.append(len(nodes)) or batch(t, nodes, **kw))
     for model, Q in cases:
         calls.clear()
         full = evolve_by_order(model, 0, 0.3, Q, picture)
@@ -734,30 +735,32 @@ def oscillator(z0, Q):
     (oscillator(4, 5), 4, 0.06, 5),
     # t * spread ~ 3e3: every order past 0 takes the squaring route
     (build_single_spin(SPIN), 0, 1000.0, 5),
-    # rows of one order need 1 to 8 slices
+    # rows of one order need 1 to 4 slices
     (cosine_drive(), 0, 0.5, 12),
     # the interaction-picture order-2 row needs two slices, its
     # Schrodinger-picture row one: counted on the Schrodinger nodes, the
-    # budget saw 187 of the kernel's 315 operations
-    (two_level_flip(), 0, 1 / 3.6333333333333333, 2),
+    # budget would see 241 of the kernel's 600 operations
+    (two_level_flip(), 0, 2 / 3.6333333333333333, 2),
 ], ids=["oscillator", "decaying-spin", "cosine-drive", "two-level"])
 def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t, Q):
     limit = engine._WORK_LIMIT
-    # each count and the work of the kernel call that follows it, in order
+    # each plan's count and the work of the kernel call that follows it,
+    # in order
     counted, ran = [], []
-    batch_work, batch = engine._batch_work, engine.exp_dd_batch
+    plan, batch = engine._plan, engine.exp_dd_batch
 
     def count(t, x):
-        counted.append(batch_work(t, x))
-        return counted[-1]
+        made = plan(t, x)
+        counted.append(made.work)
+        return made
 
-    def kernel(t, nodes):
+    def kernel(t, nodes, **kw):
         start = len(kernel_work)
-        values = batch(t, nodes)
+        values = batch(t, nodes, **kw)
         ran.append(sum(kernel_work[start:]))
         return values
 
-    monkeypatch.setattr(engine, "_batch_work", count)
+    monkeypatch.setattr(engine, "_plan", count)
     monkeypatch.setattr(engine, "exp_dd_batch", kernel)
     # in both pictures: the kernel gets exactly the rows that were counted,
     # one call per count
@@ -789,7 +792,7 @@ def test_work_budget_calibration(monkeypatch):
     # the budget's documented calibration, with the kernel stubbed out so
     # only the frontier and the count run
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: np.zeros(len(nodes), complex))
+                        lambda t, nodes, **kw: np.zeros(len(nodes), complex))
     evolve_by_order(oscillator(4, 7), 4, 0.06, 7)
     with pytest.raises(CapacityError):
         evolve_by_order(cosine_drive(), 0, 0.5, 20)
@@ -809,7 +812,7 @@ def test_rows_past_the_kernel_range_are_refused_by_the_budget(monkeypatch):
     seen = []
     kernel = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes: seen.append(nodes.shape) or kernel(t, nodes))
+                        lambda t, nodes, **kw: seen.append(nodes.shape) or kernel(t, nodes, **kw))
     for params in (FermiParams(0.0, 2.0 ** 60, 0.0, 1.0),
                    FermiParams(0.0, 2.0 ** 60, 2.0 ** 60, 1.0)):
         seen.clear()
@@ -844,6 +847,20 @@ def test_invalid_arguments():
         "closed-form-order", "closed-form-odd-float", "default-dimension"])
 def test_non_integer_index_or_order_is_a_value_error(call):
     with pytest.raises(ValueError, match="integer"):
+        call(build_single_spin(SPIN))
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: exp_dd(np.complex128(0.5 + 1j), [0.0, 1.0]),
+    lambda m: exp_dd(0.5 + 0j, [0.0, 1.0]),
+    lambda m: divdiff.exp_dd_batch(np.array([0.5 + 1j, 0.5]), np.ones((2, 2))),
+    lambda m: evolve(m, 0, np.complex128(0.5 + 1j), 3),
+    lambda m: ode_evolve(m, 0, np.complex128(0.5 + 1j)),
+    lambda m: ode_evolve(m, 0, np.array([0.5 + 1j])),
+], ids=["exp_dd", "python-complex", "per-row", "evolve", "ode", "ode-grid"])
+def test_complex_times_are_type_errors(call):
+    # a numpy complex time was cut to its real part, with only a warning
+    with pytest.raises(TypeError, match="real"):
         call(build_single_spin(SPIN))
 
 
