@@ -19,7 +19,12 @@ Taylor degree n + E(a) (n = q + 1 nodes, E from the tail bound beside
 It then sorts the rows into kernel calls (``_Chunk``) by slice count,
 realness and E, and counts the table operations those calls will spend
 (``_table_ops``): the engine budgets on that count and evaluates the same
-plan.
+plan.  A batch of bool, integer or float rows stays real: its means,
+centred nodes and a are float64, with no imaginary half, and its
+one-slice rows reach the kernel as the real arrays they are; any other
+batch is complex128.  A mean is the sum times 1/n at the array's own
+precision, as numpy's complex division by n computes it, so a real row
+has the bits of the same row held complex on every route.
 
 One slice is one ``_taylor_last`` per chunk, at the band and degree of the
 chunk's largest E; each row adds only its own terms, so its value is bit
@@ -105,6 +110,10 @@ _PAST_RANGE = ("is past the kernel's range 2^52: no digit of the divided "
 # groups of rows into chunks under it (one row per chunk once n + 1, or
 # n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
+# The squaring route's dtype: extended precision where the platform has it
+# (x87 80-bit long double); where long double is plain double (MSVC, macOS
+# arm64) this is complex128, and the route loses up to ~5e-12 relative.
+_EXTENDED = np.clongdouble
 # Rows the plan transposes, centres and reads together: its passes stay in
 # cache (a 16,384-row random K = 2 batch took 17.2 ms in one pass and
 # 13.4 ms in four).
@@ -156,8 +165,12 @@ def _centered(xt: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
 
     Reduced node by node (here and below): numpy reduces each short row
     of a (B, n) batch 2-3x more slowly than it combines long node rows.
+    The mean is the sum times 1/n, 1/n at the array's own precision: what
+    numpy's complex division by n computes (each part times 1/n), so a
+    real row's mean is the real part of the same row's complex mean, and
+    an extended-precision table's is not rounded through a double 1/n.
     """
-    mu = reduce(np.add, xt) / len(xt)
+    mu = reduce(np.add, xt) * (xt.real.dtype.type(1) / len(xt))
     return mu, np.subtract(xt, mu, out=out)
 
 
@@ -167,13 +180,18 @@ def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     32 (2m + c) + E, for s = 2^m slices (the least m with
     max_j |t (x_j - mu)| / s <= ``_SLICE_CAP``), c = 0 where s = 1 and
     every centred node is real, and E its extra Taylor degree (E(2) past
-    one slice).  Raises ValueError past the kernel's range, where
+    one slice).  A real block has c = 0 on one slice, read with no
+    imaginary half.  Raises ValueError past the kernel's range, where
     t |x_j - mu| or t |mu| passes 2^52."""
-    # |z| as sqrt(re^2 + im^2), several times faster than numpy's complex
-    # abs (hypot); t * delta past ~1e154, where a square overflows, is
-    # past the range either way
     scaled = t * delta
-    amax = np.sqrt((np.square(scaled.real) + np.square(scaled.imag)).max(axis=0))
+    real = not np.iscomplexobj(delta)
+    if real:
+        amax = np.abs(scaled).max(axis=0)
+    else:
+        # |z| as sqrt(re^2 + im^2), several times faster than numpy's
+        # complex abs (hypot); t * delta past ~1e154, where a square
+        # overflows, is past the range either way
+        amax = np.sqrt((np.square(scaled.real) + np.square(scaled.imag)).max(axis=0))
     top = amax.max(initial=0.0)
     # nan and inf fail these tests too
     if not top <= _RANGE:
@@ -182,7 +200,9 @@ def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     phase = np.abs(t * mu).max(initial=0.0)
     if not phase <= _RANGE:
         raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
-    key = np.searchsorted(_EXTRA_BOUNDS, amax) + 32 * (delta.imag != 0).any(axis=0)
+    key = np.searchsorted(_EXTRA_BOUNDS, amax)
+    if not real:
+        key += 32 * (delta.imag != 0).any(axis=0)
     if top > _SLICE_CAP:
         mant, exp = np.frexp(amax / _SLICE_CAP)
         m = np.maximum(0, exp - (mant == 0.5))
@@ -252,13 +272,16 @@ class _Plan(NamedTuple):
 
 def _plan(t, node_rows) -> _Plan:
     """Validate a 2-D array of node rows and plan its evaluation at one
-    time ``t`` or at one time per row (see the module docstring).
+    time ``t`` or at one time per row (see the module docstring).  Rows of
+    bool, integer or float dtype are planned as float64, with float64 means
+    and centred nodes; any other input as complex128.
 
     Raises ValueError on a bad array or time array and past the kernel's
     range, TypeError on a complex time (a value that overflows is found
     only by evaluating it).
     """
-    x = np.asarray(node_rows, dtype=complex)
+    x = np.asarray(node_rows)
+    x = x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("expected a nonempty 2-D array of node rows")
     if not np.isfinite(x).all():
@@ -272,8 +295,8 @@ def _plan(t, node_rows) -> _Plan:
             raise ValueError(f"expected one finite time per row ({B})")
     else:
         t = _check_time(t)
-    mu = np.empty(B, dtype=complex)
-    delta = np.empty((n, B), dtype=complex)
+    mu = np.empty(B, dtype=x.dtype)
+    delta = np.empty((n, B), dtype=x.dtype)
     key = np.empty(B, dtype=np.int16)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, B, _PLAN_ROWS):
@@ -458,7 +481,7 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     squares = _squares(n_slices, n)
     # the products of a squaring cancel more than a row update does;
     # extended precision (where the platform has it) absorbs that
-    mu, delta = _centered(xt.astype(np.clongdouble) if squares else xt)
+    mu, delta = _centered(xt.astype(_EXTENDED) if squares else xt)
     tau = t / n_slices
     bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
     degree = n + _CAP_EXTRA

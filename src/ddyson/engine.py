@@ -17,10 +17,14 @@ evaluates it order by order on a frontier of rows (z, v, weight): an
 endpoint and sorted nodes relative to a per-state origin o, 0 in the
 Schrodinger picture and E in the interaction picture.  The root is
 E_z0 - o_z0; a step with rate lam from z to z' makes the child
-sort((v - (lam - (o_z - o_z'))) u {E_z' - o_z'}).  Rows whose (z, v) are
-bit-identical merge by summing their weights (divided differences are
-symmetric), which changes no value.  The merge (``_merged``) classes rows
-by a 64-bit hash of their words, v's first and z last; a batch in which
+sort((v - (lam - (o_z - o_z'))) u {E_z' - o_z'}).  The nodes are float64
+from the root on where every rate is real (a time-independent model, a
+real drive frequency: ``step_tables`` holds lam as float64), and
+complex128 otherwise, so real rows are built, merged and planned on real
+arrays.  Rows whose (z, v) are bit-identical merge by summing their
+weights (divided differences are symmetric), which changes no value.  The
+merge (``_merged``) classes rows by a 64-bit hash of their words (n a row
+of n real nodes, 2n complex), v's first and z last; a batch in which
 no hash repeats comes back as it is, and otherwise every row is checked
 bit for bit against the first row of its class, with the exact byte-sort
 merge (``_merged_exact``) taken on a true collision.  Either way the
@@ -249,7 +253,9 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
 
 
 class _Rows(NamedTuple):
-    """Frontier rows: endpoint z, the picture's sorted nodes y, weight."""
+    """Frontier rows: endpoint z, the picture's sorted nodes y (R, n),
+    float64 where the model's rates are real and complex128 otherwise, and
+    the complex weight."""
 
     z: np.ndarray
     y: np.ndarray
@@ -260,8 +266,9 @@ class _Rows(NamedTuple):
 
 
 def _row_hash(z: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row's endpoint z and y words (words, (R, 2n)
-    uint64): the words of y first, the endpoint last.
+    """A 64-bit hash of each row's endpoint z and y words (words, uint64,
+    (R, n) for n real nodes a row and (R, 2n) for complex ones): the words
+    of y first, the endpoint last.
 
     Word j gets the salt (j + 1) * ``_GOLDEN`` added and goes through the
     two xor-shift-multiply rounds of the SplitMix64 finalizer, a bijection
@@ -296,7 +303,7 @@ def _by_class(rows: _Rows, first: np.ndarray, inverse: np.ndarray) -> _Rows:
 def _merged_exact(rows: _Rows) -> _Rows:
     """``_merged`` by a sort of the rows' (z, y) bytes: the reference, and
     the route taken when two different rows share a hash."""
-    key = np.column_stack([rows.z.astype(complex), rows.y])
+    key = np.column_stack([rows.z.astype(rows.y.dtype), rows.y])
     key = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     return _by_class(rows, first, inverse.ravel())
@@ -383,7 +390,9 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     # M * K where that is more)
     block = max(1, min(_BLOCK_ROWS, 10 * _BLOCK_ROWS // (M * K)))
     out = np.zeros((max_order + 1, D), dtype=complex)
-    root = _Rows(np.array([z0]), np.full((1, 1), landing[z0], complex),
+    # real where every rate is (``step_tables``), and so every child
+    root = _Rows(np.array([z0]),
+                 np.full((1, 1), landing[z0], np.result_type(landing, tables[1])),
                  np.ones(1, complex))
     # (-1, None) stands for the root's parent: its one child is the root
     stack = [(-1, None)]

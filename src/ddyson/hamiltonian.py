@@ -170,9 +170,14 @@ class HamiltonianModel:
         0-based in term and factor; built on first use, read-only.  Every
         evaluation reads the model through these: a step from z by term i,
         factor k lands on targets[i, z] (-1: off the basis), with lam[i, k]
-        and d[i, k] read there."""
-        tables = (np.stack([tm.perm.targets for tm in self.terms]),
-                  np.array([[f.lam for f in tm.factors] for tm in self.terms]),
+        and d[i, k] read there.  lam is float64 where no rate has a nonzero
+        imaginary part (then every node of every path is real, and the
+        engine's rows stay real from the root on), complex128 otherwise;
+        d is complex128."""
+        lam = np.array([[f.lam for f in tm.factors] for tm in self.terms])
+        if not lam.imag.any():
+            lam = np.ascontiguousarray(lam.real)
+        tables = (np.stack([tm.perm.targets for tm in self.terms]), lam,
                   np.array([[f.d for f in tm.factors] for tm in self.terms]))
         for a in tables:
             a.setflags(write=False)

@@ -382,6 +382,72 @@ def test_real_route_matches_complex_route(per_row):
         assert got.tobytes() == exp_dd_batch(times, x).tobytes()
 
 
+def _rows_at(rng, B, n, a_lo, a_hi):
+    # B real rows of n nodes with max |x_j - mean| in [a_lo, a_hi), at t = 1
+    x = rng.uniform(-1.0, 1.0, (B, n))
+    return x * (rng.uniform(a_lo, a_hi, B)
+                / np.abs(x - x.mean(axis=1, keepdims=True)).max(axis=1))[:, None]
+
+
+def _same_chunks(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.n_slices, a.real) == (b.n_slices, b.real)
+        assert a.extra.tobytes() == b.extra.tobytes()
+        if isinstance(b.rows, slice):
+            assert a.rows == b.rows
+        else:
+            assert a.rows.tobytes() == b.rows.tobytes()
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("route", ["one slice", "chained", "squaring"])
+def test_real_rows_match_complex_rows(route, per_row):
+    # the same node values, once as float64 rows and once as complex128
+    # rows: the same chunks, the same counted work and the same bits on
+    # every route.  The real batch stays real through the plan, and its
+    # means are the real parts of the complex ones (the sum times 1/n)
+    rng = np.random.default_rng(31)
+    signed_zeros = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 2.0], [0.0, 2.0]])
+    for n in (2, 5, 12, 24):
+        if route == "one slice":
+            x = _rows_at(rng, 40, n, 0.01, 1.99)
+            if n == 2:
+                x = np.vstack([x, signed_zeros])
+        elif route == "chained":
+            if n < 4:
+                continue
+            # s <= n / 2 slices of |tau (x_j - mu)| <= 2
+            x = _rows_at(rng, 40, n, 2.5, 2.0 * (1 << (n // 2).bit_length() - 1))
+        else:
+            # 2s > n, up to the long times of 2^12 slices
+            x = _rows_at(rng, 6, n, 2.0 * n, 2.0 ** 13)
+        times = 1.0
+        if per_row:
+            # each row at its own time, with the same t |x_j - mu|
+            times = rng.uniform(0.5, 1.0, len(x))
+            x /= times[:, None]
+        real, cplx = divdiff._plan(times, x), divdiff._plan(times, x.astype(complex))
+        assert (real.x.dtype, real.mu.dtype, real.delta.dtype) == (float,) * 3
+        assert cplx.x.dtype == complex
+        assert real.mu.tobytes() == cplx.mu.real.copy().tobytes()
+        assert not cplx.mu.imag.any()
+        _same_chunks(real.chunks, cplx.chunks)
+        assert real.work == cplx.work
+        many = {c.n_slices > 1 for c in real.chunks}
+        squaring = {divdiff._squares(c.n_slices, n) for c in real.chunks if c.n_slices > 1}
+        assert many == {route != "one slice"}
+        assert squaring <= {route == "squaring"}
+        got = exp_dd_batch(times, x, plan=real)
+        assert got.tobytes() == exp_dd_batch(times, x.astype(complex), plan=cplx).tobytes()
+        assert got.tobytes() == exp_dd_batch(times, x).tobytes()
+        # the squaring route centres its tables in extended precision, where
+        # a double 1/n would round them differently from numpy's division
+        xt = x.T.astype(divdiff._EXTENDED)
+        mu, _ = divdiff._centered(xt)
+        assert (mu == sum(xt) / n).all()
+
+
 # -- extended-precision agreement --------------------------------------------
 
 def test_matches_highprec_oracle_mixed_nodes():

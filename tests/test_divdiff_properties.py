@@ -114,6 +114,29 @@ def test_long_time_three_nodes():
     assert abs(value - reference) <= 1e-10 * abs(reference)
 
 
+def test_squaring_route_without_extended_precision(monkeypatch):
+    # where long double is plain double (MSVC, macOS arm64) the squaring
+    # route runs in complex128: order-20 rows as criterion 10 draws them,
+    # and the long-time row above, still hold 1e-10 (worst ~5e-12)
+    extended = exp_dd(1e5, [0.3, -0.7 - 0.1j, 0.9])
+    monkeypatch.setattr(divdiff, "_EXTENDED", np.complex128)
+    if np.finfo(np.longdouble).eps < np.finfo(float).eps:
+        # the route reads the constant
+        assert exp_dd(1e5, [0.3, -0.7 - 0.1j, 0.9]) != extended
+    rng = np.random.default_rng(110)
+    cases = []
+    while len(cases) < 30:
+        nodes = rng.uniform(-50.0, 50.0, 21)
+        t = float(rng.uniform(0.05, 1.0))
+        (chunk,) = divdiff._plan(t, nodes[None]).chunks
+        if chunk.n_slices > 1 and divdiff._squares(chunk.n_slices, 21):
+            cases.append((t, nodes))
+    cases.append((1e5, [0.3, -0.7 - 0.1j, 0.9]))
+    for t, nodes in cases:
+        reference = exp_dd_highprec(t, nodes, digits=60)
+        assert abs(exp_dd(t, nodes) - reference) <= 1e-10 * abs(reference)
+
+
 def test_oracle_raises_its_precision():
     # at q = 20 and t * spread ~ 2e-3 the recursion cancels ~100 digits: at a
     # fixed 60 digits it returns noise many orders above the value

@@ -5,7 +5,7 @@ time-independent specialization."""
 import math
 import time
 import tracemalloc
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -486,9 +486,19 @@ def _merge_batches():
     # equal but for the sign of a zero imaginary word: distinct rows
     y = np.array([[1.0 + 0.0j, 2.0 + 0.0j], [1.0 + 0.0j, complex(2.0, -0.0)]] * 3)
     signed_zero = _rows(np.zeros(6, int), y, rng)
+    # the same three kinds of batch on float64 rows, as models with real
+    # rates make them: n words a row where complex rows hash 2n
+    y = np.sort(rng.integers(-1, 2, (600, 4)) + 0.5 * rng.integers(0, 2, (600, 4)), axis=1)
+    real_planted = _rows(rng.integers(0, 3, 600), y, rng)
+    y = rng.normal(size=(500, 7))
+    real_copied = _rows(z[copies], y[copies], rng)
+    real_signed_zero = _rows(np.zeros(6, int), np.array([[0.0, 2.0], [-0.0, 2.0]] * 3), rng)
     return [planted, copied, signed_zero,
             _rows(np.zeros(0, int), np.zeros((0, 3), complex), rng),
-            _rows(np.array([2]), np.array([[0.5 - 1j, 3.0 + 0j]]), rng)]
+            _rows(np.array([2]), np.array([[0.5 - 1j, 3.0 + 0j]]), rng),
+            real_planted, real_copied, real_signed_zero,
+            _rows(np.zeros(0, int), np.zeros((0, 3)), rng),
+            _rows(np.array([2]), np.array([[0.5, 3.0]]), rng)]
 
 
 def _rows(z, y, rng):
@@ -508,13 +518,15 @@ def test_hash_merge_equals_exact_merge():
         before = rows.y.tobytes()
         got = engine._merged(rows)
         assert rows.y.tobytes() == before
+        assert got.y.dtype == rows.y.dtype
         _assert_same_rows(got, engine._merged_exact(rows))
         _assert_same_rows(got, _dict_merge(rows))
-    planted, copied, signed_zero = _merge_batches()[:3]
-    # 3 endpoints times the multisets of 4 nodes from 6 values
-    assert len(engine._merged(planted).z) <= 3 * math.comb(6 + 4 - 1, 4)
-    assert len(engine._merged(copied).z) == 500
-    assert len(engine._merged(signed_zero).z) == 2
+    batches = _merge_batches()
+    for planted, copied, signed_zero in (batches[:3], batches[5:8]):
+        # 3 endpoints times the multisets of 4 nodes from 6 values
+        assert len(engine._merged(planted).z) <= 3 * math.comb(6 + 4 - 1, 4)
+        assert len(engine._merged(copied).z) == 500
+        assert len(engine._merged(signed_zero).z) == 2
 
 
 def test_forced_hash_collisions_change_no_value(monkeypatch):
@@ -539,6 +551,46 @@ def test_forced_hash_collisions_change_no_value(monkeypatch):
     want = evolve_by_order(model, 0, 0.3, 5)
     monkeypatch.setattr(engine, "_row_hash", lambda z, words: np.zeros(len(z), np.uint64))
     assert evolve_by_order(model, 0, 0.3, 5).tobytes() == want.tobytes()
+
+
+def _with_complex_rates(model):
+    # the same model with its rate table held as complex128, as a model
+    # with a decaying rate holds it: its frontier is complex from the root
+    copy = HamiltonianModel(energies=model.energies, terms=model.terms)
+    targets, lam, d = model.step_tables
+    lam = lam.astype(complex)
+    lam.setflags(write=False)
+    vars(copy)["step_tables"] = (targets, lam, d)
+    return copy
+
+
+def test_real_rates_keep_the_frontier_real(monkeypatch):
+    # a time-independent model and the oscillator (real drive frequencies)
+    # hand the plan float64 rows from the root on, and random_model's
+    # decaying rates complex rows; the real rows give the bits of the same
+    # batches cast to complex for the kernel, and of a complex frontier
+    rng = np.random.default_rng(33)
+    real = [(random_ti_model(rng, 0.3), 0, 0.3, 6), (oscillator(4, 5), 4, 0.06, 5)]
+    decaying = random_model(rng)
+    plan, batch = engine._plan, engine.exp_dd_batch
+    seen = []
+    monkeypatch.setattr(engine, "_plan", lambda t, y: seen.append(y.dtype) or plan(t, y))
+    for (model, z0, t, Q), dtype in [(case, float) for case in real] + [
+            ((decaying, 0, 0.3, 5), complex)]:
+        assert model.step_tables[1].dtype == dtype
+        seen.clear()
+        evolve_by_order(model, z0, t, Q)
+        assert set(seen) == {np.dtype(dtype)}
+    monkeypatch.undo()
+    for (model, z0, t, Q), picture in product(real, PICTURES):
+        want = evolve_by_order(model, z0, t, Q, picture)
+        assert evolve_by_order(_with_complex_rates(model), z0, t, Q,
+                               picture).tobytes() == want.tobytes()
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_plan", lambda t, y: plan(t, y.astype(complex)))
+            m.setattr(engine, "exp_dd_batch",
+                      lambda t, y, **kw: batch(t, y.astype(complex), **kw))
+            assert evolve_by_order(model, z0, t, Q, picture).tobytes() == want.tobytes()
 
 
 def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
