@@ -39,6 +39,24 @@ first reorder the nodes so every run spans the cloud.  The relative error
 grows as t * spread * eps, so a row with t |x_j - mu| or a phase t |mu|
 past 2^52, or a value that overflows, raises ValueError.
 
+The engine's frontier rows are grown, not evaluated from scratch
+(``_Growth``).  A row of n nodes may carry its window: the W Taylor terms
+k = n - 1 .. n + W - 2 of the last top-row entry of exp(bd + bs S), with
+bd = -i t (x_j - A) about the row's anchor A.  A child holds its parent's
+nodes shifted by the step's rate, which by the shift identity is only a
+phase, so the anchor moves with them, plus one new node x_n.  Its window
+is W updates of its parent's, c_k = (c_(k-1) bd_n + bs p_(k-1)) / k, the
+one-slice update of that entry: O(W) whatever n.  Its value is
+e^{-itA} sum_k c_k, summed by k mod 4 on real arrays as on the one-slice
+route.  A row carries a window while its reach max_j |t (x_j - A)| is at
+most ``_WINDOW_REACH`` = 1; a child's reach is the larger of its parent's
+and its new node's, so a row past it, and every row below it, is planned
+on its own nodes as above.  Then the tail past degree n + W - 2 is at most
+e^4 / W! of the value, and W = 20 is the least window under the one-slice
+target (see ``_WINDOW``).  The plan of a grown batch puts the rows within
+reach into grown chunks of 2W table operations a row, and counts the words
+of every row the frontier built (``_WORD_OPS``) with the table operations.
+
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
 """
@@ -95,6 +113,20 @@ while _EXTRA_BOUNDS[-1] < _SLICE_CAP:
     _EXTRA_BOUNDS.append(_extra_bound(len(_EXTRA_BOUNDS)))
 _EXTRA_BOUNDS = np.array(_EXTRA_BOUNDS)
 _CAP_EXTRA = len(_EXTRA_BOUNDS) - 1
+# A grown row's window (``_Growth``): the W Taylor terms k = n - 1 .. n + W - 2
+# of the last top-row entry of exp(bd + bs S), bd = -i t (x - A) about the
+# row's anchor A, degree n + W - 2, while its reach a_c = max_j |t (x_j - A)|
+# is at most _WINDOW_REACH.  As above, the terms past that degree sum to at
+# most T a_c^W / W! e^(a_c).  The value about A is T |e^{-it (mu - A)}| L, with
+# |t (mu - A)| <= a_c and the centred a <= 2 a_c (|x_j - mu| <= |x_j - A| +
+# |A - mu|), so L >= e^-a holds while a_c <= _SLICE_CAP / 2, and the value is
+# at least T e^(-3 a_c).  The tail is then below a_c^W / W! e^(4 a_c) of the
+# value, e^4 / W! at a_c = 1, and W is the least window that holds it to the
+# one-slice target e^2 / 19!: W = 20 (e^4 / 20! ~ 2.2e-17; W = 19 gives
+# 4.5e-16).
+_WINDOW_REACH = _SLICE_CAP / 2
+_WINDOW = next(w for w in range(1, 64) if _WINDOW_REACH ** w / math.factorial(w)
+               * math.exp(4 * _WINDOW_REACH) <= math.exp(2) / math.factorial(19))
 # The kernel's range: t * |x_j - mu| and t * |mu| at most 2^52.  The
 # result's relative error grows as t * spread * eps (against
 # ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
@@ -106,7 +138,7 @@ _PAST_RANGE = ("is past the kernel's range 2^52: no digit of the divided "
                "difference would be significant")
 # Work budget of one kernel call: its largest array holds at most this many
 # elements, B * (n + 1) on the vector routes (the one-slice buffers carry a
-# zero pad row) and B * n^2 on the squaring route.  The plan cuts larger
+# zero pad row), B * n^2 on the squaring route and B on the grown route.  The plan cuts larger
 # groups of rows into chunks under it (one row per chunk once n + 1, or
 # n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
@@ -226,6 +258,15 @@ def _squares(n_slices: int, n: int) -> bool:
     return n_slices * _SLICE_CAP > n
 
 
+# Table operations of a grown row: two for each term of its window.
+_GROWN_OPS = 2 * _WINDOW
+# Table operations one word of a frontier row is counted as.  Building,
+# sorting and merging the children took 25-33 ns a word on the benchmark's
+# models and the M * K = 200 model of the tests, the kernel 3-4 ns an
+# operation (2-core Xeon), so a word is counted at about the time it takes.
+_WORD_OPS = 8
+
+
 def _table_ops(n: int, n_slices: int, extra: int) -> int:
     """Table operations ``_exp_dd_core`` spends on one row of n nodes at
     Taylor degree n + extra.
@@ -248,19 +289,42 @@ def _table_ops(n: int, n_slices: int, extra: int) -> int:
 
 class _Chunk(NamedTuple):
     """The rows of one kernel call: their batch indices, the slice count,
-    each row's extra degree E (ascending on one slice), and whether every
-    centred node is real (then one slice)."""
+    each row's extra degree E (ascending on one slice), whether every
+    centred node is real (then one slice), and whether the rows are grown
+    from their parents' windows (one slice, E = W - 2)."""
 
     rows: slice | np.ndarray
     n_slices: int
     extra: np.ndarray
     real: bool
+    grown: bool = False
+
+
+class _Growth(NamedTuple):
+    """A batch of rows each made from a parent row by one more node, as the
+    engine's frontier makes them (see the module docstring): the time; the
+    parents' windows (W, P), or None where no parent holds one (and for a
+    root row, which has no parent); per row, its parent's column, the new
+    node's offset x_n - A from the row's anchor A, the anchor, and the reach
+    max_j |t (x_j - A)|; and whether the rows' own windows are kept for
+    their children."""
+
+    t: float
+    parents: np.ndarray | None
+    parent: np.ndarray
+    offset: np.ndarray
+    anchor: np.ndarray
+    reach: np.ndarray
+    keep: bool
 
 
 class _Plan(NamedTuple):
     """One batch made ready for the kernel by ``_plan``: the time (one, or
     one per row), the node rows (B, n), their means (B,) and centred nodes
-    (n, B), the kernel calls, and the table operations they will spend."""
+    (n, B) (set only for rows that are not grown; (n, 0) if none is), the
+    kernel calls, the table operations they will spend (with the frontier
+    words of a grown batch), the ``_Growth`` it was made from, and the
+    (W, B) windows its grown rows write if they are kept."""
 
     t: float | np.ndarray
     x: np.ndarray
@@ -268,18 +332,34 @@ class _Plan(NamedTuple):
     delta: np.ndarray
     chunks: tuple
     work: int
+    growth: _Growth | None = None
+    windows: np.ndarray | None = None
+
+
+def _run(rows: np.ndarray) -> slice | np.ndarray:
+    """Batch indices as a slice where they are a run of consecutive rows,
+    which is then read as a view, not gathered."""
+    if (np.diff(rows) == 1).all():
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
 
 
 def _plan(t, node_rows) -> _Plan:
     """Validate a 2-D array of node rows and plan its evaluation at one
     time ``t`` or at one time per row (see the module docstring).  Rows of
     bool, integer or float dtype are planned as float64, with float64 means
-    and centred nodes; any other input as complex128.
+    and centred nodes; any other input as complex128.  ``t`` may instead
+    be a ``_Growth`` of the rows: each row within the window reach then
+    takes one grown chunk from its parent's window, and only the others
+    are centred and planned on their nodes.
 
     Raises ValueError on a bad array or time array and past the kernel's
     range, TypeError on a complex time (a value that overflows is found
     only by evaluating it).
     """
+    growth = None
+    if isinstance(t, _Growth):
+        growth, t = t, t.t
     x = np.asarray(node_rows)
     x = x.astype(float if x.dtype.kind in "biuf" else complex, copy=False)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -296,19 +376,50 @@ def _plan(t, node_rows) -> _Plan:
     else:
         t = _check_time(t)
     mu = np.empty(B, dtype=x.dtype)
-    delta = np.empty((n, B), dtype=x.dtype)
-    key = np.empty(B, dtype=np.int16)
+    chunks, work, windows = [], 0, None
+    # the rows planned on their own nodes: all but the grown ones
+    rest = slice(0, B)
+    if growth is not None:
+        # the n nodes and the endpoint of each row the frontier built
+        work += B * (n + 1) * _WORD_OPS
+        inside = growth.reach <= _WINDOW_REACH
+        grown = np.flatnonzero(inside)
+        if len(grown):
+            phase = np.abs(t * growth.anchor[grown]).max()
+            if not phase <= _RANGE:
+                raise ValueError(f"time times the node anchor, {phase:.3g}, {_PAST_RANGE}")
+            real = not np.iscomplexobj(growth.offset)
+            if growth.keep:
+                windows = np.empty((_WINDOW, B), growth.offset.dtype)
+            for start in range(0, len(grown), _CHUNK_ELEMENTS):
+                rows = grown[start:start + _CHUNK_ELEMENTS]
+                chunks.append(_Chunk(_run(rows), 1, np.full(len(rows), _WINDOW - 2),
+                                     real, grown=True))
+            work += len(grown) * _GROWN_OPS
+            rest = np.flatnonzero(~inside)
+    xr = x[rest]
+    R = len(xr)
+    # (n, 0) where every row is grown
+    delta = np.empty((n, B if R else 0), dtype=x.dtype)
+    key = np.empty(R, dtype=np.int16)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, B, _PLAN_ROWS):
+        for start in range(0, R, _PLAN_ROWS):
             block = slice(start, start + _PLAN_ROWS)
-            mu[block], d = _centered(np.ascontiguousarray(x[block].T), delta[:, block])
-            key[block] = _row_keys(t[block] if per_row else t, mu[block], d)
+            xt = np.ascontiguousarray(xr[block].T)
+            if isinstance(rest, slice):
+                m, d = _centered(xt, delta[:, block])
+                mu[block] = m
+            else:
+                m, d = _centered(xt)
+                mu[rest[block]] = m
+                delta[:, rest[block]] = d
+            key[block] = _row_keys(t[block] if per_row else t, m, d)
     # rows of one slice count and realness form a group, in E order
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    ranked = np.argsort(key, kind="stable")
+    key = key[ranked]
+    order = ranked if isinstance(rest, slice) else rest[ranked]
     group = key >> 5
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), B] if B else []
-    chunks, work = [], 0
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), R] if R else []
     for lo, hi in zip(cuts, cuts[1:]):
         m, complex_ = divmod(int(group[lo]), 2)
         n_slices = 1 << m
@@ -316,14 +427,10 @@ def _plan(t, node_rows) -> _Plan:
             n * n if n_slices > 1 and _squares(n_slices, n) else n + 1))
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            rows = order[start:stop]
-            # a run of consecutive rows is read as a view, not gathered
-            if (np.diff(rows) == 1).all():
-                rows = slice(int(rows[0]), int(rows[-1]) + 1)
             extra = key[start:stop] & 31
-            chunks.append(_Chunk(rows, n_slices, extra, not complex_))
+            chunks.append(_Chunk(_run(order[start:stop]), n_slices, extra, not complex_))
             work += (stop - start) * _table_ops(n, n_slices, int(extra[-1]))
-    return _Plan(t, x, mu, delta, tuple(chunks), work)
+    return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
 
 
 @lru_cache(maxsize=None)
@@ -399,6 +506,16 @@ def _taylor_band(n: int, extra: int):
         yield _inverse(k), slice(lo + 1, hi + 1), slice(lo, hi), hi == n
 
 
+def _term_sums(last: np.ndarray, real: bool) -> tuple:
+    """Where Taylor term k adds into the complex sum ``last``, by k mod 4:
+    the array it adds to and the ufunc.  A real term r_k stands for
+    (-i)^k r_k, so it adds to the real or the imaginary part, with a sign."""
+    if real:
+        return ((last.real, np.add), (last.imag, np.subtract),
+                (last.real, np.subtract), (last.imag, np.add))
+    return ((last, np.add),) * 4
+
+
 def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
     """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
     (n, B) with n >= 2, each column b by its Taylor polynomial of degree
@@ -427,11 +544,7 @@ def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
     nxt = np.zeros_like(term)
     tail, tail_nxt = term[n], nxt[n]
     last = np.zeros(B, dtype=complex)
-    if real:
-        sums = ((last.real, np.add), (last.imag, np.subtract),
-                (last.real, np.subtract), (last.imag, np.add))
-    else:
-        sums = ((last, np.add),) * 4
+    sums = _term_sums(last, real)
     for k, (inv_k, rows, nodes, at_last) in enumerate(_taylor_band(n, top), 1):
         out = nxt[rows]
         np.multiply(term[rows], bd[nodes], out)
@@ -449,6 +562,50 @@ def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
     return last
 
 
+def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
+    """Values of the grown rows of one chunk of a plan, and their windows
+    where the plan keeps them (see ``_Growth``).
+
+    A row of n nodes extends its parent's window (terms k - 1 = n - 2 ..
+    n + W - 3 at the parent's last entry, p_(k-1)) by its new node, bd =
+    -i t (x_n - A): its term k at the new last entry is
+    c_k = (c_(k-1) bd + bs p_(k-1)) / k, c_(n-2) = 0, the update and the
+    roundings of ``_taylor_last`` for that entry.  A root row (n = 1) starts
+    from c_0 = 1 and takes c_k = c_(k-1) bd / k; its value is the exponential
+    itself.  A real window stands for -i bd and -i bs as on the one-slice
+    route, and the terms are summed in the same order on both routes.
+    """
+    growth, rows = plan.growth, chunk.rows
+    t, n, real = growth.t, plan.x.shape[1], chunk.real
+    offset = growth.offset[rows]
+    if real:
+        bd, bs = t * offset, np.array(t)
+    else:
+        bd, bs = -1j * t * offset, np.array(-1j * t)
+    last = np.zeros(len(offset), dtype=complex)
+    sums = _term_sums(last, real)
+    if growth.parents is not None:
+        parent = growth.parent[rows]
+    for i in range(_WINDOW):
+        k = n - 1 + i
+        if growth.parents is None:
+            term = term * bd * _inverse(k)[real] if i else np.ones_like(bd)
+        else:
+            # bs first, as ``_taylor_last`` multiplies
+            grown = np.multiply(bs, growth.parents[i].take(parent))
+            if i:
+                grown += term * bd
+            grown *= _inverse(k)[real]
+            term = grown
+        if plan.windows is not None:
+            plan.windows[i, rows] = term
+        acc, add = sums[k % 4]
+        add(acc, term, out=acc)
+    if n == 1:
+        return np.exp(-1j * t * plan.x[rows, 0])
+    return last * np.exp(-1j * t * growth.anchor[rows])
+
+
 def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     """Values e^{-i t [x_0b, ..., x_(n-1)b]} of the rows b of one chunk of
     a plan.
@@ -456,8 +613,11 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     One slice runs through ``_taylor_last``, on real arrays where the
     chunk's centred nodes are real; chained slices carry (n, B) rows and
     the squaring route (n, n, B) tables through ``_taylor`` (see
-    ``_table_ops``).  Only ``exp_dd_batch`` calls it.
+    ``_table_ops``); grown rows through ``_grown``.  Only ``exp_dd_batch``
+    calls it.
     """
+    if chunk.grown:
+        return _grown(plan, chunk)
     rows, n_slices = chunk.rows, chunk.n_slices
     t = plan.t[rows] if np.ndim(plan.t) else plan.t
     mu = plan.mu[rows]

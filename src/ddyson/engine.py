@@ -31,19 +31,31 @@ merge (``_merged_exact``) taken on a true collision.  Either way the
 classes come out in first-occurrence order.  A step off the basis, or whose d
 diagonal vanishes at the landing state, is pruned by one rule (``_steps``)
 over the model's ``step_tables``, the one format every route reads.
-Each batch of rows, the root and then each expanded block's merged
-children, is counted, evaluated in one kernel call and, below the top
-order, pushed on the depth-first stack of blocks to expand, in blocks small
-enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory stays bounded.
 
-Time is bounded by one budget, ``_WORK_LIMIT`` kernel table operations
-per call.  ``evolve_by_order`` plans each batch once (``divdiff._plan``:
-each row's slice count and Taylor degree, sorted into kernel calls), adds
-the plan's count of the table operations those calls will spend, and
-hands the kernel that same plan; ``enumerate_paths`` adds for each path
-it yields the one-slice cost at the largest one-slice degree, an upper
-bound on what the kernel spends on a one-slice row.  Either raises
-``CapacityError`` before the kernel runs past the budget.
+A row also carries, for the kernel, its parent row, an anchor and a reach
+(``divdiff._Growth``).  The anchor starts at the middle of the spectrum,
+seen from the root's origin, and moves with the row's nodes by each step's
+rate; the reach is max_j |t (v_j - anchor)|, the larger of the parent's and
+the new node's.  A row within the window reach is evaluated from its
+parent's Taylor window in O(W) and keeps its own window for its children.
+A block of rows is evaluated when it is popped from the depth-first stack:
+planned from its parent block's windows, counted, evaluated in one kernel
+call and expanded whole.  Its merged children go on the stack in blocks
+small enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory
+stays bounded, and they alone hold the block's windows.  The children of
+a block one order below the top are evaluated as they are built, in one
+kernel call, with no sort, merge or stored window: they are never
+expanded, and at O(W) a row a merge would save less than it costs.
+
+Time is bounded by one budget, ``_WORK_LIMIT`` table operations per call.
+``evolve_by_order`` plans each batch once (``divdiff._plan``: the rows
+within reach grown, the others at their own slice count and Taylor degree,
+sorted into kernel calls), adds the plan's count of the table operations
+those calls will spend and of the batch's frontier words, and hands the
+kernel that same plan; ``enumerate_paths`` adds for each path it yields
+the one-slice cost at the largest one-slice degree, an upper bound on what
+the kernel spends on a one-slice row.  Either raises ``CapacityError``
+before the kernel runs past the budget.
 """
 
 from __future__ import annotations
@@ -54,20 +66,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_CAP_EXTRA, _check_int, _check_time, _plan, _table_ops,
-                      exp_dd, exp_dd_batch)
+from .divdiff import (_CAP_EXTRA, _Growth, _check_int, _check_time, _plan,
+                      _table_ops, exp_dd, exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
-# Kernel table operations one call may spend, ~2.0e8.  The oscillator
-# (z0 = 4, t = 0.06) passes at Q = 7 (1.43e8 operations as the plans count
-# them, ~0.6 s on 2 cores), and the two-level cosine drive of the tests
-# (t = 0.5) is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise
-# within ~1 s; ~1.5 s where low-degree rows make the frontier, which the
-# budget does not count, cost as much as the kernel (the tests' M * K = 200
-# random model at t = 0.05); ~2 s where rows take the squaring route
-# (long-time fermi).
+# Table operations one call may spend, ~2.0e8: the kernel's, and the
+# frontier's words at ``divdiff._WORD_OPS`` each.  The oscillator (z0 = 4,
+# t = 0.06) passes at Q = 7 (1.07e8 operations as the plans count them,
+# ~0.3 s on 2 cores), and the two-level cosine drive of the tests (t = 0.5)
+# is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise within
+# ~1 s: the tests' M * K = 200 random model at t = 0.05 after 0.6-0.8 s and
+# 2.50M rows; ~2 s where rows take the squaring route (long-time fermi).
 _WORK_LIMIT = 3 * 2 ** 26
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
@@ -215,7 +226,7 @@ def path_coefficients(model: HamiltonianModel, paths, t,
 
 def _over_budget(work: int, order: int) -> CapacityError:
     return CapacityError(
-        f"kernel work reached {work:.3g} table operations by order {order}, "
+        f"work reached {work:.3g} table operations by order {order}, "
         f"past the budget of {_WORK_LIMIT:.3g}; "
         "reduce the expansion order or the time")
 
@@ -253,13 +264,17 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
 
 
 class _Rows(NamedTuple):
-    """Frontier rows: endpoint z, the picture's sorted nodes y (R, n),
-    float64 where the model's rates are real and complex128 otherwise, and
-    the complex weight."""
+    """Frontier rows: endpoint z, the picture's nodes y (R, n), float64
+    where the model's rates are real and complex128 otherwise, the complex
+    weight, and for the kernel's windows (``divdiff._Growth``) each row's
+    parent row, anchor and reach.  y is sorted, save on the top order."""
 
     z: np.ndarray
     y: np.ndarray
     weight: np.ndarray
+    parent: np.ndarray
+    anchor: np.ndarray
+    reach: np.ndarray
 
     def take(self, index) -> "_Rows":
         return _Rows(*(a[index] for a in self))
@@ -342,13 +357,29 @@ def _steps(targets, d, z: np.ndarray):
     return zc, dc, np.nonzero((zc[:, None, :] >= 0) & (dc != 0))
 
 
-def _children(rows: _Rows, landing, origin, targets, lam, d) -> _Rows:
-    """Every defined, non-vanishing step from every row (landing = E - origin)."""
+def _children(rows: _Rows, t: float, landing, origin, targets, lam, d,
+              top: bool) -> _Rows:
+    """Every defined, non-vanishing step from every row (landing = E - origin),
+    sorted and merged below the top order; the top order's rows are summed
+    as they are."""
     zc, dc, (m, k, r) = _steps(targets, d, rows.z)
     z = zc[m, r]
     rate = lam[m, k, z] - (origin[rows.z[r]] - origin[z])
-    y = np.sort(np.column_stack([rows.y[r] - rate[:, None], landing[z]]), axis=1)
-    return _merged(_Rows(z, y, rows.weight[r] * dc[m, k, r]))
+    n = rows.y.shape[1]
+    y = np.empty((len(z), n + 1), rows.y.dtype)
+    # gathered _BLOCK_ROWS rows at a time: the parts stay in cache
+    for s in range(0, len(z), _BLOCK_ROWS):
+        part = slice(s, s + _BLOCK_ROWS)
+        np.subtract(rows.y[r[part]], rate[part, None], out=y[part, :n])
+    y[:, n] = landing[z]
+    anchor = rows.anchor[r] - rate
+    reach = np.maximum(rows.reach[r], np.abs(t * (y[:, n] - anchor)))
+    # r's own copy: np.nonzero returns views of one (R, 3) array
+    children = _Rows(z, y, rows.weight[r] * dc[m, k, r], r.copy(), anchor, reach)
+    if top:
+        return children
+    y.sort(axis=1)
+    return _merged(children)
 
 
 def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
@@ -356,13 +387,15 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     """Per-order state contributions, shape (max_order + 1, dimension).
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
-    partial sums over rows give every truncation at once.  Each batch of
-    rows, the root or one block's merged children, takes one step: it is
-    planned once, the budget counts the plan, one ``exp_dd_batch`` call
-    evaluates that same plan, row (z, v, weight) adding weight * e^{-it[v]}
-    at z (v relative to the picture's origin), and below max_order it goes
-    on the stack in blocks of at most 10 * _BLOCK_ROWS // (M * K) rows,
-    each expanded whole.
+    partial sums over rows give every truncation at once.  Each block of
+    rows below max_order is evaluated when it is popped: it is planned
+    once, from its parent block's windows, the budget counts the plan, one
+    ``exp_dd_batch`` call evaluates that same plan, row (z, v, weight)
+    adding weight * e^{-it[v]} at z (v relative to the picture's origin),
+    and its children go on the stack in blocks of at most
+    10 * _BLOCK_ROWS // (M * K) rows, each expanded whole, with the block's
+    windows.  The children of a block at max_order - 1 are evaluated as they
+    are built, neither sorted nor merged.
     Deterministic.  Raises CapacityError where the output would hold more
     than ``_WORK_LIMIT`` entries, before anything is allocated, or once the
     batches counted so far would cost the kernel more than the work budget;
@@ -390,29 +423,48 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     # M * K where that is more)
     block = max(1, min(_BLOCK_ROWS, 10 * _BLOCK_ROWS // (M * K)))
     out = np.zeros((max_order + 1, D), dtype=complex)
-    # real where every rate is (``step_tables``), and so every child
-    root = _Rows(np.array([z0]),
-                 np.full((1, 1), landing[z0], np.result_type(landing, tables[1])),
-                 np.ones(1, complex))
-    # (-1, None) stands for the root's parent: its one child is the root
-    stack = [(-1, None)]
     work = 0
-    while stack:
-        q, parent = stack.pop()
-        q += 1
-        rows = root if parent is None else _children(parent, landing, origin, *tables)
-        plan = _plan(t, rows.y)
+
+    def step(q: int, rows: _Rows, parents, keep: bool):
+        """Plan, count, evaluate and sum one batch of order-q rows; the
+        rows' windows if kept."""
+        nonlocal work
+        offset = landing[rows.z] - rows.anchor
+        plan = _plan(_Growth(t, parents, rows.parent, offset, rows.anchor,
+                             rows.reach, keep), rows.y)
         work += plan.work
         if work > _WORK_LIMIT:
             raise _over_budget(work, q)
         values = rows.weight * exp_dd_batch(t, rows.y, plan=plan)
-        # not held while the next children are built
-        del plan
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
-        if q < max_order:
-            stack.extend((q, rows.take(slice(s, s + block)))
-                         for s in reversed(range(0, rows.z.size, block)))
+        return plan.windows
+
+    # real where every rate is (``step_tables``), and so every child; the
+    # anchor is the middle of the spectrum, relative to the root's origin
+    dtype = np.result_type(landing, tables[1])
+    anchor = np.full(1, 0.5 * (energies.max() + energies.min()) - origin[z0], dtype)
+    y = np.full((1, 1), landing[z0], dtype)
+    root = _Rows(np.array([z0]), y, np.ones(1, complex), np.zeros(1, np.intp),
+                 anchor, np.abs(t * (y[:, 0] - anchor)))
+    stack = [(0, root, None)]
+    while stack:
+        q, rows, parents = stack.pop()
+        windows = step(q, rows, parents, q < max_order)
+        # each array is dropped as soon as it is used: the windows and the
+        # rows are not held while the next batch is built or evaluated
+        del parents
+        if q == max_order:
+            continue
+        top = q + 1 == max_order
+        children = _children(rows, t, landing, origin, *tables, top)
+        del rows
+        if top:
+            step(q + 1, children, windows, False)
+        else:
+            stack.extend((q + 1, children.take(slice(s, s + block)), windows)
+                         for s in reversed(range(0, children.z.size, block)))
+        del children, windows
     return out
 
 

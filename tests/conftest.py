@@ -14,14 +14,20 @@ from ddyson import divdiff
 def kernel_work(monkeypatch):
     """The table operations of each ``_exp_dd_core`` call made while the
     test runs, by the kernel's own cost formula, in call order: each row
-    evaluated at the chunk's slice count and its largest extra degree."""
+    evaluated at the chunk's slice count and its largest extra degree, or
+    grown from its parent's window, plus, in a batch the engine grew, the
+    frontier words of its n nodes and endpoint."""
     ran = []
     core = divdiff._exp_dd_core
 
     def recorded(plan, chunk):
         values = core(plan, chunk)
-        ran.append(len(values) * divdiff._table_ops(
-            len(plan.delta), chunk.n_slices, int(max(chunk.extra))))
+        n = len(plan.delta)
+        ops = (divdiff._GROWN_OPS if chunk.grown else
+               divdiff._table_ops(n, chunk.n_slices, int(max(chunk.extra))))
+        if plan.growth is not None:
+            ops += (n + 1) * divdiff._WORD_OPS
+        ran.append(len(values) * ops)
         return values
 
     monkeypatch.setattr(divdiff, "_exp_dd_core", recorded)

@@ -450,6 +450,96 @@ def test_real_rows_match_complex_rows(route, per_row):
 
 # -- extended-precision agreement --------------------------------------------
 
+# -- grown rows --------------------------------------------------------------
+
+def _grow(t, x, anchor):
+    """Each row of x (B, n) built as the engine's frontier builds it, a node
+    at a time from a root about its anchor: one plan and kernel call per
+    node, each from the last call's windows.  The plans, and the values of
+    the full rows."""
+    parents, plans, B, n = None, [], len(x), x.shape[1]
+    reach = np.zeros(B)
+    for j in range(n):
+        offset = x[:, j] - anchor
+        reach = np.maximum(reach, np.abs(t * offset))
+        growth = divdiff._Growth(t, parents, np.arange(B), offset, anchor, reach,
+                                 j < n - 1)
+        plan = divdiff._plan(growth, x[:, :j + 1])
+        values = exp_dd_batch(t, x[:, :j + 1], plan=plan)
+        parents = plan.windows
+        plans.append(plan)
+    return plans, values
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
+def test_grown_row_matches_one_slice_band(decay):
+    # a row grown node by node in path order about its anchor has the bits
+    # of the one-slice band run on the same nodes, anchor and degree
+    # n + W - 2, on the real route and on the complex one
+    rng = np.random.default_rng(24)
+    t = 0.8
+    for n in (1, 2, 3, 7, 20, 33):
+        x = rng.uniform(-1.0, 1.0, (30, n)) - 1j * decay * rng.uniform(0.0, 1.0, (30, n))
+        x = x if decay else x.real.copy()
+        anchor = x.mean(axis=1) + rng.uniform(-0.2, 0.2, 30)
+        # reaches from ~0.05 up to the cap
+        x = anchor[:, None] + (x - anchor[:, None]) * (
+            rng.uniform(0.05, 1.0, 30) / np.abs(t * (x - anchor[:, None])).max(axis=1))[:, None]
+        plans, got = _grow(t, x, anchor)
+        assert all(c.grown and c.real == (not decay) for p in plans for c in p.chunks)
+        if n == 1:
+            assert got.tobytes() == np.exp(-1j * t * x[:, 0]).tobytes()
+            continue
+        delta = (x - anchor[:, None]).T
+        bd, bs = (t * delta, t) if not decay else (-1j * t * delta, -1j * t)
+        band = divdiff._taylor_last(np.ascontiguousarray(bd), bs,
+                                    np.full(30, divdiff._WINDOW - 2))
+        assert got.tobytes() == (band * np.exp(-1j * t * anchor)).tobytes()
+
+
+@pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
+def test_rows_at_the_window_reach_match_highprec(decay):
+    # the last node puts a row's reach just inside the window reach (the row
+    # is grown) or just outside it (the row is planned on its own nodes):
+    # both agree with the extended-precision recursion
+    rng = np.random.default_rng(25)
+    t = 1.3
+    for n in (2, 4, 8, 13):
+        x = rng.uniform(-1.0, 1.0, (4, n))
+        anchor = rng.uniform(-0.3, 0.3, 4)
+        if decay:
+            x = x - 1j * decay * rng.uniform(0.0, 1.0, (4, n))
+            anchor = anchor - 0.5j * decay
+        x = anchor[:, None] + 0.9 * (x - anchor[:, None]) / np.abs(
+            t * (x - anchor[:, None])).max(axis=1)[:, None]
+        for side in (1.0 - 1e-9, 1.0 + 1e-9):
+            # a last node at |t (x - anchor)| = side, in a random direction
+            way = (np.exp(1j * rng.uniform(0.0, 2 * np.pi, 4)) if decay
+                   else np.sign(rng.uniform(-1.0, 1.0, 4)))
+            x[:, -1] = anchor + side / t * way
+            plans, got = _grow(t, x, anchor)
+            assert all(c.real == (not decay) for p in plans for c in p.chunks)
+            (chunk,) = plans[-1].chunks
+            assert chunk.grown == (side < 1.0)
+            assert all(c.grown for p in plans[:-1] for c in p.chunks)
+            for row, value in zip(x, got):
+                want = exp_dd_highprec(t, row)
+                assert abs(value - want) <= 1e-14 * abs(want)
+
+
+def test_grown_rows_are_checked_for_range():
+    # a grown row's phase t |anchor| past 2^52 is refused, as a row's
+    # t |mean| is on its own nodes
+    x = np.array([[2.0 ** 60], [2.0 ** 60 + 1.0]])
+    anchor = x[:, 0] + 0.25
+    growth = divdiff._Growth(1.0, None, np.arange(2), x[:, 0] - anchor, anchor,
+                             np.full(2, 0.25), True)
+    with pytest.raises(ValueError, match="range"):
+        divdiff._plan(growth, x)
+    with pytest.raises(ValueError, match="range"):
+        divdiff._plan(1.0, x)
+
+
 def test_matches_highprec_oracle_mixed_nodes():
     rng = np.random.default_rng(17)
     for _ in range(10):

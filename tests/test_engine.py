@@ -446,8 +446,11 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
     m = HamiltonianModel(energies=np.array([0.0, 1.0, 0.0, 1.0]), terms=terms)
     t, Q = 0.7, 5
     keys = {(p.order, p.trajectory[-1], tuple(np.sort(y_inputs(m, p))))
-            for p in enumerate_paths(m, 0, Q)}
-    assert len(keys) == 91
+            for p in enumerate_paths(m, 0, Q - 1)}
+    assert len(keys) == 51
+    # the top order is summed as it is built, unmerged: the 4 steps of each
+    # distinct order Q - 1 row
+    top = 4 * sum(key[0] == Q - 1 for key in keys)
     rows = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
@@ -457,20 +460,24 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
         rows.clear()
         got = evolve_by_order(m, 0, t, Q, picture)
         assert np.abs(got - want).max() <= 1e-12
-        assert sum(rows) == len(keys)
+        assert sum(rows) == len(keys) + top == 147
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
 
 
 def _dict_merge(rows):
     # one row per (z, y bytes) in first-occurrence order, weights summed in
-    # row order from 0, as bincount sums them
-    merged = {}
-    for z, y, w in zip(rows.z.tolist(), rows.y, rows.weight.tolist()):
+    # row order from 0, as bincount sums them; the first row of each class
+    # gives its parent, anchor and reach
+    merged, first = {}, {}
+    for i, (z, y, w) in enumerate(zip(rows.z.tolist(), rows.y, rows.weight.tolist())):
         key = (z, y.tobytes())
         merged[key] = (y, merged.get(key, (y, 0.0))[1] + w)
+        first.setdefault(key, i)
+    index = list(first.values())
     return engine._Rows(np.array([z for z, _ in merged], dtype=rows.z.dtype),
                         np.array([y for y, _ in merged.values()]).reshape(-1, rows.y.shape[1]),
-                        np.array([w for _, w in merged.values()], dtype=complex))
+                        np.array([w for _, w in merged.values()], dtype=complex),
+                        *(a[index] for a in rows[3:]))
 
 
 def _merge_batches():
@@ -502,7 +509,12 @@ def _merge_batches():
 
 
 def _rows(z, y, rng):
-    return engine._Rows(z, y, rng.normal(size=len(z)) + 1j * rng.normal(size=len(z)))
+    # with a distinct parent, anchor and reach per row, which a merged row
+    # takes from the first row of its class
+    R = len(z)
+    return engine._Rows(z, y, rng.normal(size=R) + 1j * rng.normal(size=R),
+                        rng.permutation(R), rng.normal(size=R).astype(y.dtype),
+                        rng.uniform(size=R))
 
 
 def _assert_same_rows(got, want):
@@ -593,11 +605,105 @@ def test_real_rates_keep_the_frontier_real(monkeypatch):
             assert evolve_by_order(model, z0, t, Q, picture).tobytes() == want.tobytes()
 
 
+def _stacked_orders(model, z0, t, Q, picture, digits=40):
+    """Per-order states of a time-independent model from the Taylor series
+    of the stacked hierarchy u_q' = -i (H0 u_q + V u_(q-1)), u_0(0) = |z0>,
+    u_q(0) = 0, in mpmath at ``digits`` digits: matrix-vector products on
+    V built from the model's terms, nothing of the engine.  The interaction
+    picture multiplies state z by e^{i E_z t}."""
+    import mpmath as mp
+
+    D = model.dimension
+    with mp.workdps(digits):
+        E = [mp.mpf(float(e)) for e in model.energies]
+        V = [[mp.mpc(0)] * D for _ in range(D)]
+        for i in range(1, len(model.terms) + 1):
+            term = model.term(i)
+            for z, target in enumerate(term.perm.targets.tolist()):
+                if target >= 0:
+                    V[target][z] += mp.mpc(complex(term.factors[0].d[target]))
+        scale = -1j * mp.mpf(t)
+        u = [[mp.mpc(int(q == 0 and z == z0)) for z in range(D)] for q in range(Q + 1)]
+        total = [row[:] for row in u]
+        tiny = mp.mpf(10) ** -digits
+        m = 0
+        while max(abs(x) for row in u for x in row) > tiny:
+            m += 1
+            u = [[scale / m * (E[z] * u[q][z] + (sum(V[z][w] * u[q - 1][w] for w in range(D))
+                                                  if q else 0))
+                  for z in range(D)] for q in range(Q + 1)]
+            total = [[a + b for a, b in zip(r, s)] for r, s in zip(total, u)]
+        if picture == "interaction":
+            total = [[x * mp.exp(1j * mp.mpf(t) * E[z]) for z, x in enumerate(row)]
+                     for row in total]
+        return np.array([[complex(x) for x in row] for row in total])
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_orders_match_stacked_hierarchy(picture):
+    # an oracle that shares no code with the engine: at t = 0.3 every row
+    # is grown from its parent's window; at t = 1.5 rows leave the window
+    # reach along their paths and are planned on their nodes
+    rng = np.random.default_rng(38)
+    for t in (0.3, 1.5):
+        model = random_ti_model(rng, t)
+        got = evolve_by_order(model, 1, t, 12, picture)
+        want = _stacked_orders(model, 1, t, 12, picture)
+        for q in range(13):
+            assert np.linalg.norm(got[q] - want[q]) <= 1e-13 * np.linalg.norm(want[q])
+
+
+def _grown_rows(monkeypatch):
+    # per plan the engine makes: (order, rows grown from windows, rows
+    # planned on their own nodes, whether it keeps windows)
+    seen = []
+    plan = engine._plan
+
+    def recorded(t, y):
+        made = plan(t, y)
+        grown = sum(len(c.extra) for c in made.chunks if c.grown)
+        seen.append((y.shape[1] - 1, grown, len(y) - grown, made.windows is not None))
+        return made
+
+    monkeypatch.setattr(engine, "_plan", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_rows_leaving_the_window_reach_match_per_path_oracle(picture, monkeypatch):
+    # decaying rates: a row's reach grows along its path, so at the middle
+    # orders one batch holds rows grown from their parents' windows and
+    # rows planned on their own nodes, whose children are never grown again
+    model = random_model(np.random.default_rng(39))
+    t, Q = 0.45, 5
+    seen = _grown_rows(monkeypatch)
+    got = evolve_by_order(model, 0, t, Q, picture)
+    monkeypatch.undo()
+    want = per_path_orders(model, 0, t, Q, picture)
+    for q in range(Q + 1):
+        assert np.abs(got[q] - want[q]).max() <= 1e-12 * np.abs(want[q]).max()
+    assert any(grown and rest for _, grown, rest, _ in seen)
+    assert seen[0][1] == 1 and sum(rest for *_, rest, _ in seen) > 0
+
+
+def test_rows_past_the_window_reach_carry_no_windows(monkeypatch):
+    # the long-time fermi amplitude: every row, the root included, is past
+    # the window reach, so no plan grows a row or keeps a window
+    seen = _grown_rows(monkeypatch)
+    model = build_fermi(FermiParams(0.0, 0.8, 0.8, 1e-5))
+    evolve_by_order(model, 0, 6.0e4, 5)
+    assert [(q, grown, windows) for q, grown, _, windows in seen] == [
+        (q, 0, False) for q in range(6)]
+
+
 def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
-    # merging in first-occurrence order loses no merge: the bundled
-    # oscillator makes 12,666 kernel rows where its 76,771 paths would each
-    # need one, and a dense random K = 2 model 4^q rows at order q; each is
-    # one kernel call for the root and one per expanded block (6 and 12)
+    # merging in first-occurrence order loses no merge below the top
+    # order, which is summed unmerged: the bundled oscillator makes 22,148
+    # kernel rows (2,570 below the top, 19,578 at it) where its 76,771 paths
+    # would each need one, and a dense random K = 2 model 4^q rows at order
+    # q; each is one kernel call per block evaluated and one per block's top
+    # order children (6: 5 blocks and 1 top batch; 15: 11 blocks and 4 top
+    # batches)
     calls = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
@@ -605,19 +711,19 @@ def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     for picture in PICTURES:
         calls.clear()
         evolve_by_order(oscillator(4, 5), 4, 0.06, 5, picture)
-        assert (len(calls), sum(calls)) == (6, 12666)
+        assert (len(calls), sum(calls)) == (6, 22148)
     for seed in (1, 2):
         calls.clear()
         model = random_model(np.random.default_rng(seed), dim=4, n_terms=2, n_factors=2)
         evolve_by_order(model, 0, 0.06, 8)
-        assert (len(calls), sum(calls)) == (12, 87381)
+        assert (len(calls), sum(calls)) == (15, 87381)
 
 
 def _record_kernel_arrays(monkeypatch):
     # the kernel's largest arrays are those of its Taylor loops, all
     # node-major: (n + 1, B) buffers on the one-slice route (one zero pad
     # row), (n, B) rows on the chained route, (n, n, B) tables on the
-    # squaring route
+    # squaring route, (B,) terms on the grown route
     shapes = []
     taylor, taylor_last = divdiff._taylor, divdiff._taylor_last
 
@@ -629,8 +735,16 @@ def _record_kernel_arrays(monkeypatch):
         shapes.append((bd.shape[0] + 1, bd.shape[1]))
         return taylor_last(bd, bs, extra)
 
+    # and a grown chunk's (B,) terms
+    def recorded_grown(plan, chunk):
+        values = grown(plan, chunk)
+        shapes.append(values.shape)
+        return values
+
+    grown = divdiff._grown
     monkeypatch.setattr(divdiff, "_taylor", recorded)
     monkeypatch.setattr(divdiff, "_taylor_last", recorded_last)
+    monkeypatch.setattr(divdiff, "_grown", recorded_grown)
     return shapes
 
 
@@ -712,6 +826,21 @@ def test_interaction_picture_is_shift_invariant():
     for p in enumerate_paths(model, 0, Q):
         want = alpha(model, p, t)
         assert abs(alpha(shifted, p, t) - want) <= 1e-13 * abs(want)
+
+
+def test_wide_model_refusal_counts_the_frontier(monkeypatch):
+    # the M * K = 200 model's rows take few kernel operations each, so the
+    # budget counts the words of every row the frontier builds too: it
+    # refuses before the frontier has built more rows than it did when a
+    # grown row cost as much as its one-slice band (2,569,801)
+    rows = []
+    batch = engine.exp_dd_batch
+    monkeypatch.setattr(engine, "exp_dd_batch",
+                        lambda t, nodes, **kw: rows.append(len(nodes)) or batch(t, nodes, **kw))
+    model = random_model(np.random.default_rng(0), dim=20, n_terms=40, n_factors=5)
+    with pytest.raises(CapacityError):
+        evolve_by_order(model, 0, 0.05, 3)
+    assert sum(rows) <= 2_570_000
 
 
 def test_wide_model_expansion_stays_small():
