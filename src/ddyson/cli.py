@@ -2,7 +2,8 @@
 (CSV or JSON tables, ``--format``), and run the validation battery (a JSON
 report of the suites drawn from ``--seed``).
 
-Exit codes: 0 success, 1 validation failure, 2 usage/config error,
+Exit codes: 0 success, 1 validation failure or an ODE reference the
+solver could not finish (``StiffnessError``), 2 usage/config error,
 3 capacity exceeded.  Output files are deterministic for a fixed
 command line.
 """
@@ -211,14 +212,18 @@ def _cmd_infidelity_sweep(args) -> int:
     q_top = q_list[-1]
     model = _resolve_model(args.model, dict(args.param), z0=args.z0,
                            max_order=q_top)
-    rows = []
-    for t, reference in zip(args.t, ode_evolve(model, args.z0, args.t)):
+    # the engine first at every time, as in ``_cmd_evolve``; then one
+    # oracle pass over the whole grid
+    truncated = []
+    for t in args.t:
         orders = evolve_by_order(model, args.z0, t, q_top)
-        for q in q_list:
-            truncated = StateVector(amplitudes=orders[: q + 1].sum(axis=0),
-                                    time=float(t))
+        truncated.append([StateVector(amplitudes=orders[: q + 1].sum(axis=0),
+                                      time=float(t)) for q in q_list])
+    rows = []
+    for t, reference, states in zip(args.t, ode_evolve(model, args.z0, args.t), truncated):
+        for q, state in zip(q_list, states):
             rows.append({"t": float(t), "Q": q,
-                         "infidelity": float(infidelity(reference, truncated))})
+                         "infidelity": float(infidelity(reference, state))})
     _write_rows(rows, ["t", "Q", "infidelity"], args.format, args.out)
     return 0
 

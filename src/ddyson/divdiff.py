@@ -9,35 +9,34 @@ ones (the Opitz form of the divided-difference table), so no gap is ever
 divided by and repeated nodes need no special case.
 
 Every evaluation runs one plan (``_plan``) through ``exp_dd_batch``.  The
-plan is one pass over the rows, in blocks of ``_PLAN_ROWS``: it validates
-them, holds them node-major, (n, B), centres them on their means mu and
-reads each row's a = max_j |t (x_j - mu)|.  It refuses rows past the
-kernel's range, cuts the time into s = 2^m slices with
-|tau (x_j - mu)| <= 2 (``_SLICE_CAP``), gives each one-slice row the
-Taylor degree n + E(a) (n = q + 1 nodes, E from the tail bound beside
-``_EXTRA_BOUNDS``) and flags the rows whose centred nodes are all real.
-It then sorts the rows into kernel calls (``_Chunk``) by slice count,
-realness and E, and counts the table operations those calls will spend
-(``_table_ops``): the engine budgets on that count and evaluates the same
-plan.  A batch of bool, integer or float rows stays real: its means,
-centred nodes and a are float64, with no imaginary half, and its
-one-slice rows reach the kernel as the real arrays they are; any other
-batch is complex128.  A mean is the sum times 1/n at the array's own
-precision, as numpy's complex division by n computes it, so a real row
-has the bits of the same row held complex on every route.
+plan is one pass over the rows: it validates them, holds them node-major,
+(n, B), centres them on their means mu and reads each row's
+a = max_j |t (x_j - mu)|.  It refuses rows past the kernel's range, cuts
+the time into s = 2^m slices with |tau (x_j - mu)| <= 2 (``_SLICE_CAP``)
+and flags the rows whose centred nodes are all real.  It then sorts the
+rows into kernel calls (``_Chunk``) by slice count and realness, and
+counts the table operations those calls will spend (``_table_ops``): the
+engine budgets on that count and evaluates the same plan.  Every slice
+takes the one Taylor degree n + ``_EXTRA`` (n = q + 1 nodes), which the
+tail bound gives at the cap a = 2.  A batch of bool, integer or float
+rows stays real: its means, centred nodes and a are float64, with no
+imaginary half, and its one-slice rows reach the kernel as the real
+arrays they are; any other batch is complex128.  A mean is the sum times
+1/n at the array's own precision, as numpy's complex division by n
+computes it, so a real row has the bits of the same row held complex on
+every route.
 
-One slice is one ``_taylor_last`` per chunk, at the band and degree of the
-chunk's largest E; each row adds only its own terms, so its value is bit
-for bit that of the row alone.  Only the top row's band of E + 2 entries
-that its last entry reads is carried.  A row whose centred nodes are real
+One slice is one ``_taylor_last`` per chunk.  Only the top row's band of
+E + 2 entries that its last entry reads is carried, and each row's value
+is bit for bit that of the row alone.  A row whose centred nodes are real
 carries real arrays r_k, Taylor term k being (-i)^k r_k, and adds r_k to
 the real or the imaginary part by k mod 4: the roundings of the complex
 route, on real arithmetic.  A row of more slices is chained through the
 full O(n) update while 2s <= n; past that its slice table is built once
-and squared m times, in extended precision.  Both use degree n + E(2) and
-first reorder the nodes so every run spans the cloud.  The relative error
-grows as t * spread * eps, so a row with t |x_j - mu| or a phase t |mu|
-past 2^52, or a value that overflows, raises ValueError.
+and squared m times, in extended precision.  Both first reorder the nodes
+so every run spans the cloud.  The relative error grows as
+t * spread * eps, so a row with t |x_j - mu| or a phase t |mu| past 2^52,
+or a value that overflows, raises ValueError.
 
 The engine's frontier rows are grown, not evaluated from scratch
 (``_Growth``).  A row of n nodes may carry its window: the W Taylor terms
@@ -74,21 +73,6 @@ from .errors import DegenerateNodesError
 
 # Largest |tau * (x_j - mu)| one slice may cover.
 _SLICE_CAP = 2.0
-
-
-def _extra_bound(extra: int) -> float:
-    """The largest a with a^(E+2) / (E+2)! * e^(2a) <= e^2 / 19!, E = extra."""
-    limit = 2.0 - math.lgamma(20)
-    lo, hi = 0.0, 2.0 * _SLICE_CAP
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if (extra + 2) * math.log(mid) - math.lgamma(extra + 3) + 2.0 * mid <= limit:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 # Taylor degree past the node count.  exp(-it Z) is e^{-it mu} exp(-it (Z - mu)),
 # so a slice is e^{-i tau mu} exp(bd + bs S) with bd = -i tau (x - mu),
 # bs = -i tau, and a = max |bd|.  Taylor term k reaches the last entry of the
@@ -102,17 +86,15 @@ def _extra_bound(extra: int) -> float:
 # |L - 1| <= (e^a - 1 - a) / (n + 1) from n = 5, and L >= sin(a) / a at
 # n = 2 (the product of sinh z / z); at n = 3 and 4 a search over centred
 # nodes at a = 2 found L >= 0.65.  So the tail is below
-# a^(E+2) / (E+2)! e^(2a) relative to the value, and E(a) is the least E
-# that holds it to e^2 / 19! ~ 6e-17, the bound at a = 1 with E = 17:
-# E = 11 at a = 0.25, 14 at 0.5, 17 at 1 and 24 at 2.  _EXTRA_BOUNDS[E] is
-# the largest a that E covers.  A row of more slices carries every entry of
-# its tables, not only the centred last one; it takes E(2) on every slice,
-# and its accuracy rests on the tests against ``exp_dd_highprec``.
-_EXTRA_BOUNDS = [_extra_bound(0)]
-while _EXTRA_BOUNDS[-1] < _SLICE_CAP:
-    _EXTRA_BOUNDS.append(_extra_bound(len(_EXTRA_BOUNDS)))
-_EXTRA_BOUNDS = np.array(_EXTRA_BOUNDS)
-_CAP_EXTRA = len(_EXTRA_BOUNDS) - 1
+# a^(E+2) / (E+2)! e^(2a) relative to the value, and E is the least that
+# holds it to e^2 / 19! ~ 6e-17 (the bound at a = 1 with E = 17) at the cap
+# a = 2: E = 24 (9.1e-18; E = 23 gives 1.2e-16).  Every slice of every
+# planned row takes it; a row of smaller a meets the bound with terms to
+# spare, which fall below its rounding.  A row of more slices carries every
+# entry of its tables, not only the centred last one, and its accuracy
+# rests on the tests against ``exp_dd_highprec``.
+_EXTRA = next(e for e in range(64) if _SLICE_CAP ** (e + 2) / math.factorial(e + 2)
+              * math.exp(2 * _SLICE_CAP) <= math.exp(2) / math.factorial(19))
 # A grown row's window (``_Growth``): the W Taylor terms k = n - 1 .. n + W - 2
 # of the last top-row entry of exp(bd + bs S), bd = -i t (x - A) about the
 # row's anchor A, degree n + W - 2, while its reach a_c = max_j |t (x_j - A)|
@@ -146,10 +128,6 @@ _CHUNK_ELEMENTS = 2 ** 14
 # (x87 80-bit long double); where long double is plain double (MSVC, macOS
 # arm64) this is complex128, and the route loses up to ~5e-12 relative.
 _EXTENDED = np.clongdouble
-# Rows the plan transposes, centres and reads together: its passes stay in
-# cache (a 16,384-row random K = 2 batch took 17.2 ms in one pass and
-# 13.4 ms in four).
-_PLAN_ROWS = 4096
 
 
 def as_nodes(inputs) -> np.ndarray:
@@ -191,9 +169,8 @@ def _check_time(t) -> float:
     return t
 
 
-def _centered(xt: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
-    """Row means mu and centred nodes of a node-major (n, B) batch (the
-    nodes written to ``out`` if given).
+def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means mu and centred nodes of a node-major (n, B) batch.
 
     Reduced node by node (here and below): numpy reduces each short row
     of a (B, n) batch 2-3x more slowly than it combines long node rows.
@@ -203,18 +180,17 @@ def _centered(xt: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
     an extended-precision table's is not rounded through a double 1/n.
     """
     mu = reduce(np.add, xt) * (xt.real.dtype.type(1) / len(xt))
-    return mu, np.subtract(xt, mu, out=out)
+    return mu, xt - mu
 
 
 def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Per row of a node-major block with ``_centered`` means mu and nodes
-    delta, at one time ``t`` or one per row: its kernel sort key
-    32 (2m + c) + E, for s = 2^m slices (the least m with
-    max_j |t (x_j - mu)| / s <= ``_SLICE_CAP``), c = 0 where s = 1 and
-    every centred node is real, and E its extra Taylor degree (E(2) past
-    one slice).  A real block has c = 0 on one slice, read with no
-    imaginary half.  Raises ValueError past the kernel's range, where
-    t |x_j - mu| or t |mu| passes 2^52."""
+    """Per row of a node-major batch with ``_centered`` means mu and nodes
+    delta, at one time ``t`` or one per row: its kernel sort key 2m + c,
+    for s = 2^m slices (the least m with max_j |t (x_j - mu)| / s <=
+    ``_SLICE_CAP``), c = 0 where s = 1 and every centred node is real.  A
+    real batch has c = 0 on one slice, read with no imaginary half.  Raises
+    ValueError past the kernel's range, where t |x_j - mu| or t |mu|
+    passes 2^52."""
     scaled = t * delta
     real = not np.iscomplexobj(delta)
     if real:
@@ -232,13 +208,11 @@ def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     phase = np.abs(t * mu).max(initial=0.0)
     if not phase <= _RANGE:
         raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
-    key = np.searchsorted(_EXTRA_BOUNDS, amax)
-    if not real:
-        key += 32 * (delta.imag != 0).any(axis=0)
+    key = np.zeros(len(amax), np.int16) if real else (delta.imag != 0).any(axis=0)
     if top > _SLICE_CAP:
         mant, exp = np.frexp(amax / _SLICE_CAP)
         m = np.maximum(0, exp - (mant == 0.5))
-        key = np.where(m > 0, 64 * m + 32 + _CAP_EXTRA, key)
+        key = np.where(m > 0, 2 * m + 1, key)
     return key.astype(np.int16)
 
 
@@ -267,21 +241,21 @@ _GROWN_OPS = 2 * _WINDOW
 _WORD_OPS = 8
 
 
-def _table_ops(n: int, n_slices: int, extra: int) -> int:
-    """Table operations ``_exp_dd_core`` spends on one row of n nodes at
-    Taylor degree n + extra.
+def _table_ops(n: int, n_slices: int) -> int:
+    """Table operations ``_exp_dd_core`` spends on one row of n nodes.
 
     Two operations per entry a Taylor term updates.  One slice updates only
-    the ``_taylor_band`` of each of its n + E terms, (E + 2) n - 1 entries
-    in all.  Chained slices update all n entries of every term; the
-    squaring route builds one n x n table the same way, then takes
-    log2(n_slices) products of n^3.  A single node is one exponential.
+    the ``_taylor_band`` of each of its n + E terms (E = ``_EXTRA``),
+    (E + 2) n - 1 entries in all.  Chained slices update all n entries of
+    every term; the squaring route builds one n x n table the same way,
+    then takes log2(n_slices) products of n^3.  A single node is one
+    exponential.
     """
     if n == 1:
         return 1
     if n_slices == 1:
-        return 2 * ((extra + 2) * n - 1)
-    degree = n + extra
+        return 2 * ((_EXTRA + 2) * n - 1)
+    degree = n + _EXTRA
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
     return n_slices * degree * 2 * n
@@ -289,13 +263,11 @@ def _table_ops(n: int, n_slices: int, extra: int) -> int:
 
 class _Chunk(NamedTuple):
     """The rows of one kernel call: their batch indices, the slice count,
-    each row's extra degree E (ascending on one slice), whether every
-    centred node is real (then one slice), and whether the rows are grown
-    from their parents' windows (one slice, E = W - 2)."""
+    whether every centred node is real (then one slice), and whether the
+    rows are grown from their parents' windows (one slice)."""
 
     rows: slice | np.ndarray
     n_slices: int
-    extra: np.ndarray
     real: bool
     grown: bool = False
 
@@ -375,10 +347,9 @@ def _plan(t, node_rows) -> _Plan:
             raise ValueError(f"expected one finite time per row ({B})")
     else:
         t = _check_time(t)
-    mu = np.empty(B, dtype=x.dtype)
     chunks, work, windows = [], 0, None
     # the rows planned on their own nodes: all but the grown ones
-    rest = slice(0, B)
+    rest = np.arange(B)
     if growth is not None:
         # the n nodes and the endpoint of each row the frontier built
         work += B * (n + 1) * _WORD_OPS
@@ -393,43 +364,33 @@ def _plan(t, node_rows) -> _Plan:
                 windows = np.empty((_WINDOW, B), growth.offset.dtype)
             for start in range(0, len(grown), _CHUNK_ELEMENTS):
                 rows = grown[start:start + _CHUNK_ELEMENTS]
-                chunks.append(_Chunk(_run(rows), 1, np.full(len(rows), _WINDOW - 2),
-                                     real, grown=True))
+                chunks.append(_Chunk(_run(rows), 1, real, grown=True))
             work += len(grown) * _GROWN_OPS
             rest = np.flatnonzero(~inside)
-    xr = x[rest]
-    R = len(xr)
+    R = len(rest)
+    mu = np.empty(B, dtype=x.dtype)
     # (n, 0) where every row is grown
     delta = np.empty((n, B if R else 0), dtype=x.dtype)
-    key = np.empty(R, dtype=np.int16)
+    if not R:
+        return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, R, _PLAN_ROWS):
-            block = slice(start, start + _PLAN_ROWS)
-            xt = np.ascontiguousarray(xr[block].T)
-            if isinstance(rest, slice):
-                m, d = _centered(xt, delta[:, block])
-                mu[block] = m
-            else:
-                m, d = _centered(xt)
-                mu[rest[block]] = m
-                delta[:, rest[block]] = d
-            key[block] = _row_keys(t[block] if per_row else t, m, d)
-    # rows of one slice count and realness form a group, in E order
+        # take gathers the rows node-major, (n, R), in one pass
+        m, d = _centered(x.T.take(rest, axis=1))
+        key = _row_keys(t[rest] if per_row else t, m, d)
+    mu[rest], delta[:, rest] = m, d
+    # rows of one slice count and realness form a group
     ranked = np.argsort(key, kind="stable")
-    key = key[ranked]
-    order = ranked if isinstance(rest, slice) else rest[ranked]
-    group = key >> 5
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), R] if R else []
+    key, order = key[ranked], rest[ranked]
+    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), R]
     for lo, hi in zip(cuts, cuts[1:]):
-        m, complex_ = divmod(int(group[lo]), 2)
+        m, complex_ = divmod(int(key[lo]), 2)
         n_slices = 1 << m
         step = max(1, _CHUNK_ELEMENTS // (
             n * n if n_slices > 1 and _squares(n_slices, n) else n + 1))
         for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            extra = key[start:stop] & 31
-            chunks.append(_Chunk(_run(order[start:stop]), n_slices, extra, not complex_))
-            work += (stop - start) * _table_ops(n, n_slices, int(extra[-1]))
+            chunks.append(_Chunk(_run(order[start:min(start + step, hi)]), n_slices,
+                                 not complex_))
+        work += (hi - lo) * _table_ops(n, n_slices)
     return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
 
 
@@ -516,25 +477,20 @@ def _term_sums(last: np.ndarray, real: bool) -> tuple:
     return ((last, np.add),) * 4
 
 
-def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
+def _taylor_last(bd: np.ndarray, bs, extra: int) -> np.ndarray:
     """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
-    (n, B) with n >= 2, each column b by its Taylor polynomial of degree
-    n + extra[b] (``extra`` ascending).
+    (n, B) with n >= 2, by its Taylor polynomial of degree n + extra.
 
-    Each term updates only the ``_taylor_band`` of the largest extra, with
-    the operations of ``_taylor`` started from e_0, in the same order, so
-    the last entry is bit for bit the same; column b adds terms up to its
-    own degree only, a suffix of the columns at each term.  A real bd and
-    bs stand for -i bd and -i bs: term k is then (-i)^k times the real
-    term computed, and each operation on it rounds as the complex route
-    rounds the part of its term that is not zero, so term k adds to the
-    real or the imaginary part by k mod 4 and the value is bit for bit the
-    complex route's.
+    Each term updates only its ``_taylor_band``, with the operations of
+    ``_taylor`` started from e_0, in the same order, so the last entry is
+    bit for bit the same, and each column's is that of the column alone.
+    A real bd and bs stand for -i bd and -i bs: term k is then (-i)^k
+    times the real term computed, and each operation on it rounds as the
+    complex route rounds the part of its term that is not zero, so term k
+    adds to the real or the imaginary part by k mod 4 and the value is bit
+    for bit the complex route's.
     """
     n, B = bd.shape
-    top = int(extra[-1])
-    # column b adds term k while k <= n + extra[b]: from first[k - 1] on
-    first = np.searchsorted(extra, np.arange(1 - n, top + 1)).tolist()
     real = not np.iscomplexobj(bd)
     bs = np.array(bs)  # 0-d, as each 1/k
     term = np.zeros((n + 1, B), dtype=bd.dtype)
@@ -545,7 +501,7 @@ def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
     tail, tail_nxt = term[n], nxt[n]
     last = np.zeros(B, dtype=complex)
     sums = _term_sums(last, real)
-    for k, (inv_k, rows, nodes, at_last) in enumerate(_taylor_band(n, top), 1):
+    for k, (inv_k, rows, nodes, at_last) in enumerate(_taylor_band(n, extra), 1):
         out = nxt[rows]
         np.multiply(term[rows], bd[nodes], out)
         out += bs * term[nodes]
@@ -554,11 +510,7 @@ def _taylor_last(bd: np.ndarray, bs, extra: np.ndarray) -> np.ndarray:
         tail, tail_nxt = tail_nxt, tail
         if at_last:
             acc, add = sums[k % 4]
-            s = first[k - 1]
-            if s:
-                add(acc[s:], tail[s:], out=acc[s:])
-            else:
-                add(acc, tail, out=acc)
+            add(acc, tail, out=acc)
     return last
 
 
@@ -622,7 +574,7 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     t = plan.t[rows] if np.ndim(plan.t) else plan.t
     mu = plan.mu[rows]
     n = len(plan.delta)
-    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA_BOUNDS``
+    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA``
     if n == 1:
         return np.exp(-1j * t * mu)
     # take keeps a gathered block node-major (fancy indexing would not)
@@ -630,9 +582,9 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
              else plan.delta.take(rows, axis=1))
     if n_slices == 1:
         if chunk.real:
-            last = _taylor_last(t * delta.real, t, chunk.extra)
+            last = _taylor_last(t * delta.real, t, _EXTRA)
         else:
-            last = _taylor_last(-1j * t * delta, -1j * t, chunk.extra)
+            last = _taylor_last(-1j * t * delta, -1j * t, _EXTRA)
         return last * np.exp(-1j * t * mu)
 
     # one slice is accurate in any node order; chaining is not
@@ -644,7 +596,7 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     mu, delta = _centered(xt.astype(_EXTENDED) if squares else xt)
     tau = t / n_slices
     bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
-    degree = n + _CAP_EXTRA
+    degree = n + _EXTRA
     if not squares:
         r = np.zeros(xt.shape, dtype=complex)
         r[0] = 1.0

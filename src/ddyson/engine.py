@@ -49,13 +49,12 @@ expanded, and at O(W) a row a merge would save less than it costs.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` table operations per call.
 ``evolve_by_order`` plans each batch once (``divdiff._plan``: the rows
-within reach grown, the others at their own slice count and Taylor degree,
-sorted into kernel calls), adds the plan's count of the table operations
-those calls will spend and of the batch's frontier words, and hands the
-kernel that same plan; ``enumerate_paths`` adds for each path it yields
-the one-slice cost at the largest one-slice degree, an upper bound on what
-the kernel spends on a one-slice row.  Either raises ``CapacityError``
-before the kernel runs past the budget.
+within reach grown, the others at their own slice count, sorted into
+kernel calls), adds the plan's count of the table operations those calls
+will spend and of the batch's frontier words, and hands the kernel that
+same plan; ``enumerate_paths`` adds for each path it yields the cost of a
+one-slice row of its nodes, what the kernel spends on it.  Either raises
+``CapacityError`` before the kernel runs past the budget.
 """
 
 from __future__ import annotations
@@ -66,8 +65,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_CAP_EXTRA, _Growth, _check_int, _check_time, _plan,
-                      _table_ops, exp_dd, exp_dd_batch)
+from .divdiff import (_Growth, _check_int, _check_time, _plan, _table_ops, exp_dd,
+                      exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
@@ -254,7 +253,7 @@ def enumerate_paths(model: HamiltonianModel, z: int, max_order: int):
     stack = [((), (), (z,))]
     while stack:
         terms, factors, trajectory = stack.pop()
-        work += _table_ops(len(trajectory), 1, _CAP_EXTRA)
+        work += _table_ops(len(trajectory), 1)
         if work > _WORK_LIMIT:
             raise _over_budget(work, len(terms))
         yield Path(terms=terms, factors=factors, trajectory=trajectory)

@@ -14,9 +14,9 @@ from ddyson import divdiff
 def kernel_work(monkeypatch):
     """The table operations of each ``_exp_dd_core`` call made while the
     test runs, by the kernel's own cost formula, in call order: each row
-    evaluated at the chunk's slice count and its largest extra degree, or
-    grown from its parent's window, plus, in a batch the engine grew, the
-    frontier words of its n nodes and endpoint."""
+    evaluated at the chunk's slice count, or grown from its parent's
+    window, plus, in a batch the engine grew, the frontier words of its n
+    nodes and endpoint."""
     ran = []
     core = divdiff._exp_dd_core
 
@@ -24,7 +24,7 @@ def kernel_work(monkeypatch):
         values = core(plan, chunk)
         n = len(plan.delta)
         ops = (divdiff._GROWN_OPS if chunk.grown else
-               divdiff._table_ops(n, chunk.n_slices, int(max(chunk.extra))))
+               divdiff._table_ops(n, chunk.n_slices))
         if plan.growth is not None:
             ops += (n + 1) * divdiff._WORD_OPS
         ran.append(len(values) * ops)

@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import ddyson
 from ddyson import (
@@ -190,6 +192,22 @@ def test_sweep_makes_one_oracle_call_per_grid(tmp_path, oracle_calls):
     assert len(oracle_calls) == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    # the top order's output is past the budget
+    ([*SPIN_ARGS, "--t", "0:1:3", "--Q", "0,10000000000"], 3),
+    # t * spread = 2e300 is past the kernel's range
+    (["--model", "single_spin", "--param", "a=1e300", "--t", "0:1:3", "--Q", "2"], 2)],
+    ids=["budget", "range"])
+def test_sweep_runs_the_engine_before_the_oracle(argv, code, tmp_path, oracle_calls, capsys):
+    # the engine's refusal comes before an oracle pass over the grid is
+    # spent (it came after it)
+    out = tmp_path / "sweep.csv"
+    assert run(["infidelity-sweep", *argv, "--z0", "0", "--out", str(out)]) == code
+    assert oracle_calls == []
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 # -- amplitude --------------------------------------------------------------------
 
 def test_amplitude_annotates_closed_forms(tmp_path):
@@ -324,12 +342,33 @@ def test_ode_oracle_capacity_exit_code(capsys):
     # where the energy scale overflows the step-size control, it stops
     for argv in (["evolve", "--model", "single_spin", "--z0", "0", "--t", "1e6",
                   "--Q", "2", "--oracle"],
+                 # t * spread = 2e10 is inside the kernel's range, so the
+                 # engine, which runs first, admits it
                  ["infidelity-sweep", "--model", "single_spin", "--z0", "0",
-                  "--t", "0:1:3", "--Q", "2", "--param", "a=1e300"]):
+                  "--t", "0:1e-290:3", "--Q", "2", "--param", "a=1e300"]):
         start = time.perf_counter()
         assert run(argv) == 3
         assert time.perf_counter() - start < 5.0
         assert _one_line_error(capsys)
+
+
+def test_failed_oracle_exit_code(capsys, tmp_path, monkeypatch):
+    # scipy reports a solve it could not finish (a step below the spacing
+    # of floats) as unsuccessful, not by raising: StiffnessError, exit 1
+    def failed(*args, **kwargs):
+        return SimpleNamespace(success=False, message="Required step size is "
+                               "less than spacing between numbers.")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    out = tmp_path / "out.csv"
+    for argv in (["evolve", *SPIN_ARGS, "--z0", "0", "--t", "0:0.5:3", "--Q", "2",
+                  "--oracle"],
+                 ["infidelity-sweep", *SPIN_ARGS, "--z0", "0", "--t", "0:0.5:3",
+                  "--Q", "0,2"]):
+        assert run([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: adaptive integration failed: Required step size "
+                       "is less than spacing between numbers.\n")
+        assert not out.exists()
 
 
 # a two-level flip whose envelope e^{i lam t} grows, lam = -i

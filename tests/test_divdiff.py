@@ -192,13 +192,11 @@ def test_batch_matches_scalar_calls():
 
 
 def _per_row(t, x):
-    """Each row's slice count and extra Taylor degree, as the plan of the
-    batch gives them."""
-    slices, extra = np.empty(len(x), int), np.empty(len(x), int)
+    """Each row's slice count, as the plan of the batch gives it."""
+    slices = np.empty(len(x), int)
     for chunk in divdiff._plan(t, x).chunks:
         slices[chunk.rows] = chunk.n_slices
-        extra[chunk.rows] = chunk.extra
-    return slices, extra
+    return slices
 
 
 def test_batch_slices_each_row_at_its_own_count(kernel_work):
@@ -210,16 +208,14 @@ def test_batch_slices_each_row_at_its_own_count(kernel_work):
     t = 1.0
     values = exp_dd_batch(t, rows)
     assert sum(kernel_work) == divdiff._plan(t, rows).work
-    # each row keeps the slice count and degree it has alone; the 199
-    # one-slice rows are one kernel call, at the largest of their degrees
-    alone = [_per_row(t, row[None]) for row in rows]
-    slices, extra = _per_row(t, rows)
-    assert [int(s[0]) for s, _ in alone] == slices.tolist()
-    assert [int(e[0]) for _, e in alone] == extra.tolist()
+    # each row keeps the slice count it has alone; the 199 one-slice rows
+    # are one kernel call
+    slices = _per_row(t, rows)
+    assert [int(_per_row(t, row[None])[0]) for row in rows] == slices.tolist()
     one = slices == 1
-    assert sum(kernel_work) == (one.sum() * divdiff._table_ops(6, 1, int(extra[one].max()))
-                                + divdiff._table_ops(6, 8, divdiff._CAP_EXTRA))
-    assert divdiff._plan(t, rows[57:58]).work == divdiff._table_ops(6, 8, divdiff._CAP_EXTRA)
+    assert sum(kernel_work) == (one.sum() * divdiff._table_ops(6, 1)
+                                + divdiff._table_ops(6, 8))
+    assert divdiff._plan(t, rows[57:58]).work == divdiff._table_ops(6, 8)
     for row, value in zip(rows, values):
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
@@ -233,7 +229,7 @@ def test_batch_times_per_row_match_row_by_row(decay):
     for n in range(1, 14):
         x = rng.uniform(-1.0, 1.0, (40, n)) - 1j * decay * rng.uniform(0.0, 1.0, (40, n))
         times = np.exp(rng.uniform(np.log(0.01), np.log(200.0), 40))
-        slices, _ = _per_row(times, x)
+        slices = _per_row(times, x)
         routes |= {1 if s == 1 else 3 if divdiff._squares(s, n) else 2 for s in slices}
         want = np.array([exp_dd(t, row) for t, row in zip(times, x)])
         assert exp_dd_batch(times, x).tobytes() == want.tobytes()
@@ -275,7 +271,7 @@ def test_kernel_range_ends_at_two_to_the_52_slices():
     # t * spread / 2 = 2^52 is the last row in range; one slice covers
     # |tau (x_j - mu)| <= 2, so it takes 2^51 slices
     x = np.array([[-1.0, 1.0]])
-    assert _per_row(2.0 ** 52, x)[0][0] == 2 ** 51
+    assert _per_row(2.0 ** 52, x)[0] == 2 ** 51
     with pytest.raises(ValueError):
         divdiff._plan(np.nextafter(2.0 ** 52, np.inf), x)
     assert np.isfinite(exp_dd(2.0 ** 52, x[0]))
@@ -284,79 +280,79 @@ def test_kernel_range_ends_at_two_to_the_52_slices():
 def _full_row_last(t, x):
     # every Taylor term updates all n entries of node-major (n, B) rows
     # started from e_0, and the whole top row is summed; the result is its
-    # last entry, each row at its own degree n + E
-    _, extra = _per_row(t, x)
+    # last entry, at degree n + E
     mu, delta = divdiff._centered(np.ascontiguousarray(x.T))
     last = np.empty(len(x), complex)
     for b in range(len(x)):
         rows = np.zeros((x.shape[1], 1), complex)
         rows[0] = 1.0
         last[b] = divdiff._taylor(rows, -1j * t * delta[:, b:b + 1], -1j * t,
-                                  x.shape[1] + extra[b])[-1, 0]
+                                  x.shape[1] + divdiff._EXTRA)[-1, 0]
     return last * np.exp(-1j * t * mu)
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
 def test_one_slice_band_matches_full_row_update(decay):
     # t * spread close to the slice cap, so the deepest band entries still
-    # reach the last bits of the result; a batch mixes rows of different
-    # degrees in one kernel call
+    # reach the last bits of the result; a batch mixes rows far inside the
+    # cap with rows at it in one kernel call
     rng = np.random.default_rng(19)
     for n in range(1, 41):
         x = rng.uniform(-1.0, 1.0, (33, n)) - 1j * decay * rng.uniform(0.0, 1.0, (33, n))
         x[::2] *= rng.uniform(0.05, 1.0, (17, 1))
         t = 1.999 / np.abs(x - x.mean(axis=1, keepdims=True)).max() if n > 1 else 0.7
-        assert (_per_row(t, x)[0] == 1).all()
+        assert (_per_row(t, x) == 1).all()
         np.testing.assert_array_equal(exp_dd_batch(t, x), _full_row_last(t, x))
-    # the counted work is two operations per entry of each term's band
+    # the counted work is two operations per entry of each term's band,
+    # (E + 2) n - 1 entries at any degree n + E
     for n in range(1, 41):
-        for extra in (0, 11, 17, divdiff._CAP_EXTRA):
-            assert divdiff._table_ops(n, 1, extra) == (1 if n == 1 else 2 * sum(
-                rows.stop - rows.start for _, rows, _, _ in divdiff._taylor_band(n, extra)))
+        for extra in (0, 11, 17, divdiff._EXTRA):
+            band = sum(rows.stop - rows.start for _, rows, _, _ in divdiff._taylor_band(n, extra))
+            assert band == (extra + 2) * n - 1
+        assert divdiff._table_ops(n, 1) == (1 if n == 1 else 2 * band)
 
 
 def test_one_slice_rows_are_centred_once(monkeypatch):
     # the means and centred nodes that pick the slice counts feed the
-    # one-slice route: one centring pass per row, in blocks of the plan,
-    # however many chunks
+    # one-slice route: one centring pass per batch, however many chunks
     calls = []
     centered = divdiff._centered
     monkeypatch.setattr(divdiff, "_centered",
-                        lambda xt, out=None: calls.append(xt.shape) or centered(xt, out))
+                        lambda xt: calls.append(xt.shape) or centered(xt))
     rng = np.random.default_rng(21)
-    block = divdiff._PLAN_ROWS
     for B, n in ((1, 1), (1, 6), (7, 2), (5000, 9)):
         x = rng.uniform(-0.05, 0.05, (B, n)) - 0.01j * rng.uniform(0.0, 1.0, (B, n))
         calls.clear()
         exp_dd_batch(0.5, x)
-        assert calls == [(n, min(block, B - s)) for s in range(0, B, block)]
+        assert calls == [(n, B)]
     calls.clear()
     exp_dd(0.5, [0.1, 0.2, 0.3])
     assert calls == [(3, 1)]
 
 
 def test_extra_degree_follows_the_tail_bound():
-    # the least E with a^(E+2) / (E+2)! e^(2a) <= e^2 / 19!: today's 17 at
-    # a = 1, and 24 at the one-slice cap
-    bounds = divdiff._EXTRA_BOUNDS
-    assert np.searchsorted(bounds, [0.0, 0.25, 0.5, 1.0, 2.0]).tolist() == [0, 11, 14, 17, 24]
-    assert divdiff._CAP_EXTRA == 24
-    for extra, a in enumerate(bounds):
-        assert a ** (extra + 2) / math.factorial(extra + 2) * math.exp(2 * a) <= (
-            math.exp(2) / math.factorial(19) * (1 + 1e-12))
+    # the least E with a^(E+2) / (E+2)! e^(2a) <= e^2 / 19! at the one-slice
+    # cap a = 2 (the bound at a = 1 with E = 17)
+    def tail(extra, a):
+        return a ** (extra + 2) / math.factorial(extra + 2) * math.exp(2 * a)
+
+    target = math.exp(2) / math.factorial(19)
+    assert divdiff._SLICE_CAP == 2.0
+    assert divdiff._EXTRA == 24
+    assert tail(24, 2.0) <= target < tail(23, 2.0)
+    assert tail(17, 1.0) == pytest.approx(target)
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
 def test_row_value_does_not_depend_on_its_batch(decay):
-    # a row at a = max |t (x_j - mu)| = 0.1 (degree n + 8) shares one
-    # kernel call with rows at a = 1.9 (degree n + 23) and keeps its bits
+    # a row at a = max |t (x_j - mu)| = 0.1 shares one kernel call with
+    # rows at a = 1.9 and keeps its bits
     rng = np.random.default_rng(22)
     for n in (2, 5, 12, 30):
         x = rng.uniform(-1.0, 1.0, (9, n)) - 1j * decay * rng.uniform(0.0, 1.0, (9, n))
         a = np.r_[0.1, np.full(8, 1.9)]
         x *= (a / np.abs(x - x.mean(axis=1, keepdims=True)).max(axis=1))[:, None]
-        (chunk,) = divdiff._plan(1.0, x).chunks
-        assert chunk.extra.tolist() == [8] + [23] * 8
+        assert len(divdiff._plan(1.0, x).chunks) == 1
         batch = exp_dd_batch(1.0, x)
         assert batch[:1].tobytes() == exp_dd_batch(1.0, x[:1]).tobytes()
         assert complex(batch[0]) == exp_dd(1.0, x[0])
@@ -393,7 +389,6 @@ def _same_chunks(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.n_slices, a.real) == (b.n_slices, b.real)
-        assert a.extra.tobytes() == b.extra.tobytes()
         if isinstance(b.rows, slice):
             assert a.rows == b.rows
         else:
@@ -492,8 +487,7 @@ def test_grown_row_matches_one_slice_band(decay):
             continue
         delta = (x - anchor[:, None]).T
         bd, bs = (t * delta, t) if not decay else (-1j * t * delta, -1j * t)
-        band = divdiff._taylor_last(np.ascontiguousarray(bd), bs,
-                                    np.full(30, divdiff._WINDOW - 2))
+        band = divdiff._taylor_last(np.ascontiguousarray(bd), bs, divdiff._WINDOW - 2)
         assert got.tobytes() == (band * np.exp(-1j * t * anchor)).tobytes()
 
 

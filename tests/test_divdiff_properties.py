@@ -100,7 +100,7 @@ def test_long_time_work_grows_with_log_slices(nodes, log_scale):
     # twice the time is one more squaring of an n x n table, not twice the work
     assert chunk_doubled.n_slices == 2 ** (m + 1)
     assert doubled - work <= n ** 3
-    degree = n + divdiff._CAP_EXTRA
+    degree = n + divdiff._EXTRA
     assert work <= 2 * degree * n * n + m * n ** 3
 
 

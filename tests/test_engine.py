@@ -661,7 +661,7 @@ def _grown_rows(monkeypatch):
 
     def recorded(t, y):
         made = plan(t, y)
-        grown = sum(len(c.extra) for c in made.chunks if c.grown)
+        grown = sum(np.arange(len(y))[c.rows].size for c in made.chunks if c.grown)
         seen.append((y.shape[1] - 1, grown, len(y) - grown, made.windows is not None))
         return made
 
@@ -967,6 +967,30 @@ def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t,
         assert sum(kernel_work) <= spent - 1
         # the batch whose count passes the budget never reaches the kernel
         assert ran == counted[:-1]
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_path_charge_equals_kernel_work(monkeypatch, kernel_work, picture):
+    # every row of these paths takes one slice, so the kernel spends on
+    # each path exactly the one-slice count enumerate_paths charges it
+    model, t = oscillator(4, 3), 0.06
+    paths = list(enumerate_paths(model, 4, 3))
+    nodes_of = x_inputs if picture == "interaction" else y_inputs
+    for order in {p.order for p in paths}:
+        nodes = [nodes_of(model, p) for p in paths if p.order == order]
+        assert {c.n_slices for c in divdiff._plan(t, np.array(nodes)).chunks} == {1}
+    charged = sum(divdiff._table_ops(len(p.trajectory), 1) for p in paths)
+    engine.path_coefficients(model, paths, t, picture)
+    assert sum(kernel_work) == charged
+    # and the generator charges exactly that: a budget of the sum admits
+    # the walk, one below it stops the walk at its last path
+    monkeypatch.setattr(engine, "_WORK_LIMIT", charged)
+    assert len(list(enumerate_paths(model, 4, 3))) == len(paths)
+    monkeypatch.setattr(engine, "_WORK_LIMIT", charged - 1)
+    walked = []
+    with pytest.raises(CapacityError):
+        walked.extend(enumerate_paths(model, 4, 3))
+    assert len(walked) == len(paths) - 1
 
 
 def test_work_budget_calibration(monkeypatch):

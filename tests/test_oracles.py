@@ -7,9 +7,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from ddyson import (
     CapacityError,
@@ -20,6 +22,7 @@ from ddyson import (
     PermutationTerm,
     SingleSpinParams,
     StateVector,
+    StiffnessError,
     build_anharmonic,
     build_single_spin,
     dd_nodes_from_rates,
@@ -199,6 +202,27 @@ def test_ode_evaluations_are_capped(monkeypatch):
     with pytest.raises(CapacityError, match="2000 right-hand-side evaluations"):
         ode_evolve(m, 0, 1000.0)
     assert time.perf_counter() - start < 1.0
+
+
+def test_failed_integration_is_a_stiffness_error(monkeypatch):
+    # a solve scipy reports unsuccessful, on either side of t = 0 and on a
+    # grid through it, is a StiffnessError carrying scipy's message
+    calls = []
+
+    def failed(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return SimpleNamespace(success=False, message="Required step size is "
+                               "less than spacing between numbers.")
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))
+    for t in (0.5, -0.5, np.array([-0.2, 0.0, 0.3])):
+        calls.clear()
+        with pytest.raises(StiffnessError, match="^adaptive integration failed: "
+                           "Required step size is less than spacing"):
+            ode_evolve(m, 0, t)
+        assert calls == ["DOP853"]
+    # t = 0 needs no solve
+    assert np.array_equal(ode_evolve(m, 0, 0.0).amplitudes, [1.0, 0.0])
 
 
 def test_ode_grid_is_one_solve_in_input_order():
