@@ -11,32 +11,28 @@ divided by and repeated nodes need no special case.
 Every evaluation runs one plan (``_plan``) through ``exp_dd_batch``.  The
 plan is one pass over the rows: it validates them, holds them node-major,
 (n, B), centres them on their means mu and reads each row's
-a = max_j |t (x_j - mu)|.  It refuses rows past the kernel's range, cuts
-the time into s = 2^m slices with |tau (x_j - mu)| <= 2 (``_SLICE_CAP``)
-and flags the rows whose centred nodes are all real.  It then sorts the
-rows into kernel calls (``_Chunk``) by slice count and realness, and
-counts the table operations those calls will spend (``_table_ops``): the
-engine budgets on that count and evaluates the same plan.  Every slice
-takes the one Taylor degree n + ``_EXTRA`` (n = q + 1 nodes), which the
-tail bound gives at the cap a = 2.  A batch of bool, integer or float
-rows stays real: its means, centred nodes and a are float64, with no
-imaginary half, and its one-slice rows reach the kernel as the real
-arrays they are; any other batch is complex128.  A mean is the sum times
-1/n at the array's own precision, as numpy's complex division by n
-computes it, so a real row has the bits of the same row held complex on
-every route.
+a = max_j |t (x_j - mu)|.  It refuses rows past the kernel's range and
+cuts the time into s = 2^m slices with |tau (x_j - mu)| <= 2
+(``_SLICE_CAP``).  It then sorts the rows into kernel calls (``_Chunk``)
+by slice count, and counts the table operations those calls will spend
+(``_table_ops``): the engine budgets on that count and evaluates the same
+plan.  Every slice takes the one Taylor degree n + ``_EXTRA`` (n = q + 1
+nodes), which the tail bound gives at the cap a = 2.  A batch of bool,
+integer or float rows is centred in float64, with no imaginary half; any
+other batch in complex128.  A mean is the sum times 1/n at the array's
+own precision, as numpy's complex division by n computes it, so a real
+row has the bits of the same row held complex on every route.
 
-One slice is one ``_taylor_last`` per chunk.  Only the top row's band of
-E + 2 entries that its last entry reads is carried, and each row's value
-is bit for bit that of the row alone.  A row whose centred nodes are real
-carries real arrays r_k, Taylor term k being (-i)^k r_k, and adds r_k to
-the real or the imaginary part by k mod 4: the roundings of the complex
-route, on real arithmetic.  A row of more slices is chained through the
-full O(n) update while 2s <= n; past that its slice table is built once
-and squared m times, in extended precision.  Both first reorder the nodes
-so every run spans the cloud.  The relative error grows as
-t * spread * eps, so a row with t |x_j - mu| or a phase t |mu| past 2^52,
-or a value that overflows, raises ValueError.
+Every row planned on its own nodes runs through one Taylor loop,
+``_taylor``, and each row's value is bit for bit that of the row alone.
+One slice carries the top row e_0 through it once, on the plan's centred
+nodes: one O(n) update a term.  A row of more slices is chained, e_0
+through it once a slice, while 2s <= n; past that its slice table is
+built by it once, from the identity, and squared m times, in extended
+precision.  Both first reorder the nodes so every run spans the cloud.
+The relative error grows as t * spread * eps, so a row with t |x_j - mu|
+or a phase t |mu| past 2^52, or a value that overflows, raises
+ValueError.
 
 The engine's frontier rows are grown, not evaluated from scratch
 (``_Growth``).  A row of n nodes may carry its window: the W Taylor terms
@@ -46,15 +42,17 @@ nodes shifted by the step's rate, which by the shift identity is only a
 phase, so the anchor moves with them, plus one new node x_n.  Its window
 is W updates of its parent's, c_k = (c_(k-1) bd_n + bs p_(k-1)) / k, the
 one-slice update of that entry: O(W) whatever n.  Its value is
-e^{-itA} sum_k c_k, summed by k mod 4 on real arrays as on the one-slice
-route.  A row carries a window while its reach max_j |t (x_j - A)| is at
-most ``_WINDOW_REACH`` = 1; a child's reach is the larger of its parent's
-and its new node's, so a row past it, and every row below it, is planned
-on its own nodes as above.  Then the tail past degree n + W - 2 is at most
-e^4 / W! of the value, and W = 20 is the least window under the one-slice
-target (see ``_WINDOW``).  The plan of a grown batch puts the rows within
-reach into grown chunks of 2W table operations a row, and counts the words
-of every row the frontier built (``_WORD_OPS``) with the table operations.
+e^{-itA} sum_k c_k.  Where the rates are real the window is too: term k
+is (-i)^k times a real term, added to the real or the imaginary part by
+k mod 4, with the roundings of the complex route.  A row carries a window
+while its reach max_j |t (x_j - A)| is at most ``_WINDOW_REACH`` = 1; a
+child's reach is the larger of its parent's and its new node's, so a row
+past it, and every row below it, is planned on its own nodes as above.
+Then the tail past degree n + W - 2 is at most e^4 / W! of the value, and
+W = 20 is the least window under the one-slice target (see ``_WINDOW``).
+The plan of a grown batch puts the rows within reach into grown chunks of
+2W table operations a row, and counts the words of every row the frontier
+built (``_WORD_OPS``) with the table operations.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -119,10 +117,9 @@ _RANGE = 2.0 ** 52
 _PAST_RANGE = ("is past the kernel's range 2^52: no digit of the divided "
                "difference would be significant")
 # Work budget of one kernel call: its largest array holds at most this many
-# elements, B * (n + 1) on the vector routes (the one-slice buffers carry a
-# zero pad row), B * n^2 on the squaring route and B on the grown route.  The plan cuts larger
-# groups of rows into chunks under it (one row per chunk once n + 1, or
-# n^2, alone exceeds it).
+# elements, B * n on the vector routes, B * n^2 on the squaring route and B
+# on the grown route.  The plan cuts larger groups of rows into chunks under
+# it (one row per chunk once n, or n^2, alone exceeds it).
 _CHUNK_ELEMENTS = 2 ** 14
 # The squaring route's dtype: extended precision where the platform has it
 # (x87 80-bit long double); where long double is plain double (MSVC, macOS
@@ -185,21 +182,19 @@ def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """Per row of a node-major batch with ``_centered`` means mu and nodes
-    delta, at one time ``t`` or one per row: its kernel sort key 2m + c,
-    for s = 2^m slices (the least m with max_j |t (x_j - mu)| / s <=
-    ``_SLICE_CAP``), c = 0 where s = 1 and every centred node is real.  A
-    real batch has c = 0 on one slice, read with no imaginary half.  Raises
+    delta, at one time ``t`` or one per row: its slice exponent m, for
+    s = 2^m slices, the least m with max_j |t (x_j - mu)| / s <=
+    ``_SLICE_CAP``.  A real batch is read with no imaginary half.  Raises
     ValueError past the kernel's range, where t |x_j - mu| or t |mu|
     passes 2^52."""
     scaled = t * delta
-    real = not np.iscomplexobj(delta)
-    if real:
-        amax = np.abs(scaled).max(axis=0)
-    else:
+    if np.iscomplexobj(delta):
         # |z| as sqrt(re^2 + im^2), several times faster than numpy's
         # complex abs (hypot); t * delta past ~1e154, where a square
         # overflows, is past the range either way
         amax = np.sqrt((np.square(scaled.real) + np.square(scaled.imag)).max(axis=0))
+    else:
+        amax = np.abs(scaled).max(axis=0)
     top = amax.max(initial=0.0)
     # nan and inf fail these tests too
     if not top <= _RANGE:
@@ -208,12 +203,10 @@ def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     phase = np.abs(t * mu).max(initial=0.0)
     if not phase <= _RANGE:
         raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
-    key = np.zeros(len(amax), np.int16) if real else (delta.imag != 0).any(axis=0)
-    if top > _SLICE_CAP:
-        mant, exp = np.frexp(amax / _SLICE_CAP)
-        m = np.maximum(0, exp - (mant == 0.5))
-        key = np.where(m > 0, 2 * m + 1, key)
-    return key.astype(np.int16)
+    if top <= _SLICE_CAP:
+        return np.zeros(len(amax), np.int16)
+    mant, exp = np.frexp(amax / _SLICE_CAP)
+    return np.maximum(0, exp - (mant == 0.5)).astype(np.int16)
 
 
 def _squares(n_slices: int, n: int) -> bool:
@@ -244,17 +237,14 @@ _WORD_OPS = 8
 def _table_ops(n: int, n_slices: int) -> int:
     """Table operations ``_exp_dd_core`` spends on one row of n nodes.
 
-    Two operations per entry a Taylor term updates.  One slice updates only
-    the ``_taylor_band`` of each of its n + E terms (E = ``_EXTRA``),
-    (E + 2) n - 1 entries in all.  Chained slices update all n entries of
-    every term; the squaring route builds one n x n table the same way,
-    then takes log2(n_slices) products of n^3.  A single node is one
-    exponential.
+    Two operations per entry a Taylor term updates, n + E terms a slice
+    (E = ``_EXTRA``).  Each slice of a vector row, one or chained, updates
+    all n entries of every term; the squaring route builds one n x n table
+    the same way, then takes log2(n_slices) products of n^3.  A single node
+    is one exponential.
     """
     if n == 1:
         return 1
-    if n_slices == 1:
-        return 2 * ((_EXTRA + 2) * n - 1)
     degree = n + _EXTRA
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
@@ -263,12 +253,11 @@ def _table_ops(n: int, n_slices: int) -> int:
 
 class _Chunk(NamedTuple):
     """The rows of one kernel call: their batch indices, the slice count,
-    whether every centred node is real (then one slice), and whether the
-    rows are grown from their parents' windows (one slice)."""
+    and whether the rows are grown from their parents' windows (one
+    slice)."""
 
     rows: slice | np.ndarray
     n_slices: int
-    real: bool
     grown: bool = False
 
 
@@ -359,12 +348,11 @@ def _plan(t, node_rows) -> _Plan:
             phase = np.abs(t * growth.anchor[grown]).max()
             if not phase <= _RANGE:
                 raise ValueError(f"time times the node anchor, {phase:.3g}, {_PAST_RANGE}")
-            real = not np.iscomplexobj(growth.offset)
             if growth.keep:
                 windows = np.empty((_WINDOW, B), growth.offset.dtype)
             for start in range(0, len(grown), _CHUNK_ELEMENTS):
                 rows = grown[start:start + _CHUNK_ELEMENTS]
-                chunks.append(_Chunk(_run(rows), 1, real, grown=True))
+                chunks.append(_Chunk(_run(rows), 1, grown=True))
             work += len(grown) * _GROWN_OPS
             rest = np.flatnonzero(~inside)
     R = len(rest)
@@ -378,18 +366,15 @@ def _plan(t, node_rows) -> _Plan:
         m, d = _centered(x.T.take(rest, axis=1))
         key = _row_keys(t[rest] if per_row else t, m, d)
     mu[rest], delta[:, rest] = m, d
-    # rows of one slice count and realness form a group
+    # rows of one slice count form a group
     ranked = np.argsort(key, kind="stable")
     key, order = key[ranked], rest[ranked]
     cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), R]
     for lo, hi in zip(cuts, cuts[1:]):
-        m, complex_ = divmod(int(key[lo]), 2)
-        n_slices = 1 << m
-        step = max(1, _CHUNK_ELEMENTS // (
-            n * n if n_slices > 1 and _squares(n_slices, n) else n + 1))
+        n_slices = 1 << int(key[lo])
+        step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n))
         for start in range(lo, hi, step):
-            chunks.append(_Chunk(_run(order[start:min(start + step, hi)]), n_slices,
-                                 not complex_))
+            chunks.append(_Chunk(_run(order[start:min(start + step, hi)]), n_slices))
         work += (hi - lo) * _table_ops(n, n_slices)
     return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
 
@@ -422,7 +407,11 @@ def _spread_order(delta: np.ndarray) -> np.ndarray:
 
 
 def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int) -> np.ndarray:
-    """r @ exp(diag(bd) + bs S) by its Taylor polynomial, on the node axis 0."""
+    """r @ exp(diag(bd) + bs S) by its Taylor polynomial of ``degree``, on
+    the node axis 0: the one Taylor loop of every row planned on its own
+    nodes (r the top row e_0 of a one-slice or chained row, the identity of
+    a slice table).  Each term updates every entry of r, two table
+    operations an entry (``_table_ops``)."""
     acc = r.copy()
     term = r.copy()
     nxt = np.empty_like(acc)
@@ -445,75 +434,6 @@ def _inverse(k: int) -> tuple:
     return pair
 
 
-def _taylor_band(n: int, extra: int):
-    """The band of each Taylor term k = 1 .. n + E of a one-slice row of
-    degree n + E (E = extra) whose last entry alone is read: yields (1/k
-    as ``_inverse`` gives it, the buffer rows the term writes, the node rows
-    it reads (in a buffer, the previous term's entries one below), whether
-    it reaches the last entry).
-
-    Term k is zero past entry k, and its entry j reaches the last entry
-    only through n - 1 - j more terms, so entries with k - j > E + 1 are
-    never read (degree n + E).  Term k spans entries max(0, k - E - 1) ..
-    min(k, n - 1), at most E + 2, and reads only entries of the band of
-    term k - 1, so a wider band computes these entries the same.  Buffer
-    row j + 1 holds entry j; row 0 is a zero pad, so the shifted add needs
-    no special first entry.  Not cached: a round can use a hundred or more
-    (n, E) pairs, and a band costs little next to its terms.
-    """
-    for k in range(1, n + extra + 1):
-        lo = k - extra - 1 if k > extra + 1 else 0
-        hi = k + 1 if k < n else n
-        yield _inverse(k), slice(lo + 1, hi + 1), slice(lo, hi), hi == n
-
-
-def _term_sums(last: np.ndarray, real: bool) -> tuple:
-    """Where Taylor term k adds into the complex sum ``last``, by k mod 4:
-    the array it adds to and the ufunc.  A real term r_k stands for
-    (-i)^k r_k, so it adds to the real or the imaginary part, with a sign."""
-    if real:
-        return ((last.real, np.add), (last.imag, np.subtract),
-                (last.real, np.subtract), (last.imag, np.add))
-    return ((last, np.add),) * 4
-
-
-def _taylor_last(bd: np.ndarray, bs, extra: int) -> np.ndarray:
-    """Last entry of e_0 @ exp(diag(bd) + bs S), for node-major bd of shape
-    (n, B) with n >= 2, by its Taylor polynomial of degree n + extra.
-
-    Each term updates only its ``_taylor_band``, with the operations of
-    ``_taylor`` started from e_0, in the same order, so the last entry is
-    bit for bit the same, and each column's is that of the column alone.
-    A real bd and bs stand for -i bd and -i bs: term k is then (-i)^k
-    times the real term computed, and each operation on it rounds as the
-    complex route rounds the part of its term that is not zero, so term k
-    adds to the real or the imaginary part by k mod 4 and the value is bit
-    for bit the complex route's.
-    """
-    n, B = bd.shape
-    real = not np.iscomplexobj(bd)
-    bs = np.array(bs)  # 0-d, as each 1/k
-    term = np.zeros((n + 1, B), dtype=bd.dtype)
-    term[1] = 1.0
-    # entries above a term's band are read as zeros, so this buffer is
-    # zeroed too, not just allocated
-    nxt = np.zeros_like(term)
-    tail, tail_nxt = term[n], nxt[n]
-    last = np.zeros(B, dtype=complex)
-    sums = _term_sums(last, real)
-    for k, (inv_k, rows, nodes, at_last) in enumerate(_taylor_band(n, extra), 1):
-        out = nxt[rows]
-        np.multiply(term[rows], bd[nodes], out)
-        out += bs * term[nodes]
-        out *= inv_k[real]
-        term, nxt = nxt, term
-        tail, tail_nxt = tail_nxt, tail
-        if at_last:
-            acc, add = sums[k % 4]
-            add(acc, tail, out=acc)
-    return last
-
-
 def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     """Values of the grown rows of one chunk of a plan, and their windows
     where the plan keeps them (see ``_Growth``).
@@ -522,20 +442,28 @@ def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     n + W - 3 at the parent's last entry, p_(k-1)) by its new node, bd =
     -i t (x_n - A): its term k at the new last entry is
     c_k = (c_(k-1) bd + bs p_(k-1)) / k, c_(n-2) = 0, the update and the
-    roundings of ``_taylor_last`` for that entry.  A root row (n = 1) starts
-    from c_0 = 1 and takes c_k = c_(k-1) bd / k; its value is the exponential
-    itself.  A real window stands for -i bd and -i bs as on the one-slice
-    route, and the terms are summed in the same order on both routes.
+    roundings of ``_taylor`` from e_0 for that entry, and the terms are
+    summed in its order.  A root row (n = 1) starts from c_0 = 1 and takes
+    c_k = c_(k-1) bd / k; its value is the exponential itself.  A real
+    offset (real rates) makes a real window, which stands for -i bd and
+    -i bs: term k is then (-i)^k times the real term computed, and each
+    operation on it rounds as the complex route rounds the part of its
+    term that is not zero, so term k adds to the real or the imaginary
+    part by k mod 4 and the value is bit for bit the complex route's.
     """
     growth, rows = plan.growth, chunk.rows
-    t, n, real = growth.t, plan.x.shape[1], chunk.real
+    t, n = growth.t, plan.x.shape[1]
     offset = growth.offset[rows]
+    real = not np.iscomplexobj(offset)
+    last = np.zeros(len(offset), dtype=complex)
+    # where term k adds into ``last``, by k mod 4: the array and the ufunc
     if real:
         bd, bs = t * offset, np.array(t)
+        sums = ((last.real, np.add), (last.imag, np.subtract),
+                (last.real, np.subtract), (last.imag, np.add))
     else:
         bd, bs = -1j * t * offset, np.array(-1j * t)
-    last = np.zeros(len(offset), dtype=complex)
-    sums = _term_sums(last, real)
+        sums = ((last, np.add),) * 4
     if growth.parents is not None:
         parent = growth.parent[rows]
     for i in range(_WINDOW):
@@ -543,7 +471,7 @@ def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
         if growth.parents is None:
             term = term * bd * _inverse(k)[real] if i else np.ones_like(bd)
         else:
-            # bs first, as ``_taylor_last`` multiplies
+            # bs first, as ``_taylor`` multiplies
             grown = np.multiply(bs, growth.parents[i].take(parent))
             if i:
                 grown += term * bd
@@ -562,11 +490,11 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     """Values e^{-i t [x_0b, ..., x_(n-1)b]} of the rows b of one chunk of
     a plan.
 
-    One slice runs through ``_taylor_last``, on real arrays where the
-    chunk's centred nodes are real; chained slices carry (n, B) rows and
-    the squaring route (n, n, B) tables through ``_taylor`` (see
-    ``_table_ops``); grown rows through ``_grown``.  Only ``exp_dd_batch``
-    calls it.
+    One slice carries (n, B) rows from e_0 through one ``_taylor`` on the
+    plan's centred nodes; chained slices carry them through one ``_taylor``
+    a slice, and the squaring route (n, n, B) tables through one, on
+    reordered nodes (see ``_table_ops``); grown rows run through
+    ``_grown``.  Only ``exp_dd_batch`` calls it.
     """
     if chunk.grown:
         return _grown(plan, chunk)
@@ -580,25 +508,19 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     # take keeps a gathered block node-major (fancy indexing would not)
     delta = (plan.delta[:, rows] if isinstance(rows, slice)
              else plan.delta.take(rows, axis=1))
-    if n_slices == 1:
-        if chunk.real:
-            last = _taylor_last(t * delta.real, t, _EXTRA)
-        else:
-            last = _taylor_last(-1j * t * delta, -1j * t, _EXTRA)
-        return last * np.exp(-1j * t * mu)
-
-    # one slice is accurate in any node order; chaining is not
-    xt = np.ascontiguousarray(plan.x[rows].T)
-    xt = np.take_along_axis(xt, _spread_order(delta), axis=0)
     squares = _squares(n_slices, n)
-    # the products of a squaring cancel more than a row update does;
-    # extended precision (where the platform has it) absorbs that
-    mu, delta = _centered(xt.astype(_EXTENDED) if squares else xt)
+    if n_slices > 1:
+        # one slice is accurate in any node order; chaining is not
+        xt = np.ascontiguousarray(plan.x[rows].T)
+        xt = np.take_along_axis(xt, _spread_order(delta), axis=0)
+        # the products of a squaring cancel more than a row update does;
+        # extended precision (where the platform has it) absorbs that
+        mu, delta = _centered(xt.astype(_EXTENDED) if squares else xt)
     tau = t / n_slices
     bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
     degree = n + _EXTRA
     if not squares:
-        r = np.zeros(xt.shape, dtype=complex)
+        r = np.zeros(delta.shape, dtype=complex)
         r[0] = 1.0
         for _ in range(n_slices):
             r = _taylor(r, bd, bs, degree) * phase

@@ -20,8 +20,8 @@ E_z0 - o_z0; a step with rate lam from z to z' makes the child
 sort((v - (lam - (o_z - o_z'))) u {E_z' - o_z'}).  The nodes are float64
 from the root on where every rate is real (a time-independent model, a
 real drive frequency: ``step_tables`` holds lam as float64), and
-complex128 otherwise, so real rows are built, merged and planned on real
-arrays.  Rows whose (z, v) are bit-identical merge by summing their
+complex128 otherwise, so real rows are built, merged, centred and grown
+on real arrays.  Rows whose (z, v) are bit-identical merge by summing their
 weights (divided differences are symmetric), which changes no value.  The
 merge (``_merged``) classes rows by a 64-bit hash of their words (n a row
 of n real nodes, 2n complex), v's first and z last; a batch in which
@@ -73,7 +73,7 @@ from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
 
 # Table operations one call may spend, ~2.0e8: the kernel's, and the
 # frontier's words at ``divdiff._WORD_OPS`` each.  The oscillator (z0 = 4,
-# t = 0.06) passes at Q = 7 (1.07e8 operations as the plans count them,
+# t = 0.06) passes at Q = 7 (1.42e8 operations as the plans count them,
 # ~0.3 s on 2 cores), and the two-level cosine drive of the tests (t = 0.5)
 # is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise within
 # ~1 s: the tests' M * K = 200 random model at t = 0.05 after 0.6-0.8 s and

@@ -220,6 +220,40 @@ def test_batch_slices_each_row_at_its_own_count(kernel_work):
         assert value == pytest.approx(exp_dd(t, row), rel=1e-12)
 
 
+def test_counted_work_equals_the_work_of_the_kernel_arrays(monkeypatch):
+    # the plan's count against the arrays the kernel runs, not against the
+    # count's own formula: two operations per entry of each Taylor term of
+    # every array ``_taylor`` is handed, and n^3 per matrix of each squaring
+    # product, over one call with one-slice, chained and squaring rows
+    ran = []
+    taylor, matmul = divdiff._taylor, np.matmul
+
+    def counted_taylor(r, bd, bs, degree):
+        ran.append(2 * r.size * degree)
+        return taylor(r, bd, bs, degree)
+
+    def counted_matmul(a, b, **kw):
+        n, _, B = a.shape
+        ran.append(B * n ** 3)
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(divdiff, "_taylor", counted_taylor)
+    monkeypatch.setattr(np, "matmul", counted_matmul)
+    rng = np.random.default_rng(26)
+    n = 8
+    x = np.vstack([_rows_at(rng, 50, n, 0.01, 1.99), _rows_at(rng, 30, n, 2.5, 8.0),
+                   _rows_at(rng, 7, n, 9.0, 300.0)])
+    x = x - 0.2j * rng.uniform(0.0, 1.0, x.shape)
+    rng.shuffle(x)
+    plan = divdiff._plan(1.0, x)
+    slices = {c.n_slices for c in plan.chunks}
+    assert 1 in slices
+    assert any(1 < s and not divdiff._squares(s, n) for s in slices)
+    assert any(divdiff._squares(s, n) for s in slices)
+    exp_dd_batch(1.0, x, plan=plan)
+    assert sum(ran) == plan.work
+
+
 @pytest.mark.parametrize("decay", [0.0, 0.4], ids=["real", "decaying"])
 def test_batch_times_per_row_match_row_by_row(decay):
     # t * spread from ~0.01 to ~400: one-slice, chained (s <= n) and
@@ -293,9 +327,10 @@ def _full_row_last(t, x):
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
 def test_one_slice_band_matches_full_row_update(decay):
-    # t * spread close to the slice cap, so the deepest band entries still
+    # t * spread close to the slice cap, so the highest Taylor terms still
     # reach the last bits of the result; a batch mixes rows far inside the
-    # cap with rows at it in one kernel call
+    # cap with rows at it in one kernel call, and each keeps the bits of
+    # the row updated alone
     rng = np.random.default_rng(19)
     for n in range(1, 41):
         x = rng.uniform(-1.0, 1.0, (33, n)) - 1j * decay * rng.uniform(0.0, 1.0, (33, n))
@@ -303,13 +338,6 @@ def test_one_slice_band_matches_full_row_update(decay):
         t = 1.999 / np.abs(x - x.mean(axis=1, keepdims=True)).max() if n > 1 else 0.7
         assert (_per_row(t, x) == 1).all()
         np.testing.assert_array_equal(exp_dd_batch(t, x), _full_row_last(t, x))
-    # the counted work is two operations per entry of each term's band,
-    # (E + 2) n - 1 entries at any degree n + E
-    for n in range(1, 41):
-        for extra in (0, 11, 17, divdiff._EXTRA):
-            band = sum(rows.stop - rows.start for _, rows, _, _ in divdiff._taylor_band(n, extra))
-            assert band == (extra + 2) * n - 1
-        assert divdiff._table_ops(n, 1) == (1 if n == 1 else 2 * band)
 
 
 def test_one_slice_rows_are_centred_once(monkeypatch):
@@ -358,26 +386,6 @@ def test_row_value_does_not_depend_on_its_batch(decay):
         assert complex(batch[0]) == exp_dd(1.0, x[0])
 
 
-@pytest.mark.parametrize("per_row", [False, True], ids=["one-time", "per-row"])
-def test_real_route_matches_complex_route(per_row):
-    # rows whose centred nodes are real (real nodes, or every node decaying
-    # alike) run on real arrays, with the roundings of the complex route:
-    # the values are bit for bit those of the same plan run complex
-    rng = np.random.default_rng(23)
-    for n in range(2, 36):
-        x = rng.uniform(-1.0, 1.0, (40, n))
-        x *= (rng.uniform(0.05, 1.99, 40)
-              / np.abs(x - x.mean(axis=1, keepdims=True)).max(axis=1))[:, None]
-        x = x - 0.5j * (np.arange(40) % 2)[:, None]
-        times = rng.uniform(0.5, 1.0, 40) if per_row else 1.0
-        plan = divdiff._plan(times, x)
-        assert all(chunk.real for chunk in plan.chunks)
-        forced = plan._replace(chunks=tuple(c._replace(real=False) for c in plan.chunks))
-        got = exp_dd_batch(times, x, plan=plan)
-        assert got.tobytes() == exp_dd_batch(times, x, plan=forced).tobytes()
-        assert got.tobytes() == exp_dd_batch(times, x).tobytes()
-
-
 def _rows_at(rng, B, n, a_lo, a_hi):
     # B real rows of n nodes with max |x_j - mean| in [a_lo, a_hi), at t = 1
     x = rng.uniform(-1.0, 1.0, (B, n))
@@ -388,7 +396,7 @@ def _rows_at(rng, B, n, a_lo, a_hi):
 def _same_chunks(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.n_slices, a.real) == (b.n_slices, b.real)
+        assert a.n_slices == b.n_slices
         if isinstance(b.rows, slice):
             assert a.rows == b.rows
         else:
@@ -469,8 +477,9 @@ def _grow(t, x, anchor):
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
 def test_grown_row_matches_one_slice_band(decay):
     # a row grown node by node in path order about its anchor has the bits
-    # of the one-slice band run on the same nodes, anchor and degree
-    # n + W - 2, on the real route and on the complex one
+    # of the one-slice Taylor loop run from e_0 on the same nodes, anchor
+    # and degree n + W - 2, on complex arrays, whether its windows are real
+    # (real nodes and anchor) or complex
     rng = np.random.default_rng(24)
     t = 0.8
     for n in (1, 2, 3, 7, 20, 33):
@@ -481,14 +490,16 @@ def test_grown_row_matches_one_slice_band(decay):
         x = anchor[:, None] + (x - anchor[:, None]) * (
             rng.uniform(0.05, 1.0, 30) / np.abs(t * (x - anchor[:, None])).max(axis=1))[:, None]
         plans, got = _grow(t, x, anchor)
-        assert all(c.grown and c.real == (not decay) for p in plans for c in p.chunks)
+        assert all(c.grown for p in plans for c in p.chunks)
+        assert all(p.windows.dtype == (complex if decay else float) for p in plans[:-1])
         if n == 1:
             assert got.tobytes() == np.exp(-1j * t * x[:, 0]).tobytes()
             continue
-        delta = (x - anchor[:, None]).T
-        bd, bs = (t * delta, t) if not decay else (-1j * t * delta, -1j * t)
-        band = divdiff._taylor_last(np.ascontiguousarray(bd), bs, divdiff._WINDOW - 2)
-        assert got.tobytes() == (band * np.exp(-1j * t * anchor)).tobytes()
+        r = np.zeros((n, 30), complex)
+        r[0] = 1.0
+        last = divdiff._taylor(r, -1j * t * (x - anchor[:, None]).T, -1j * t,
+                               n + divdiff._WINDOW - 2)[-1]
+        assert got.tobytes() == (last * np.exp(-1j * t * anchor)).tobytes()
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
@@ -512,7 +523,8 @@ def test_rows_at_the_window_reach_match_highprec(decay):
                    else np.sign(rng.uniform(-1.0, 1.0, 4)))
             x[:, -1] = anchor + side / t * way
             plans, got = _grow(t, x, anchor)
-            assert all(c.real == (not decay) for p in plans for c in p.chunks)
+            assert all(p.windows.dtype == (complex if decay else float)
+                       for p in plans[:-1])
             (chunk,) = plans[-1].chunks
             assert chunk.grown == (side < 1.0)
             assert all(c.grown for p in plans[:-1] for c in p.chunks)

@@ -721,19 +721,14 @@ def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
 
 def _record_kernel_arrays(monkeypatch):
     # the kernel's largest arrays are those of its Taylor loops, all
-    # node-major: (n + 1, B) buffers on the one-slice route (one zero pad
-    # row), (n, B) rows on the chained route, (n, n, B) tables on the
-    # squaring route, (B,) terms on the grown route
+    # node-major: (n, B) rows on the one-slice and chained routes, (n, n, B)
+    # tables on the squaring route, (B,) terms on the grown route
     shapes = []
-    taylor, taylor_last = divdiff._taylor, divdiff._taylor_last
+    taylor = divdiff._taylor
 
     def recorded(r, *args):
         shapes.append(r.shape)
         return taylor(r, *args)
-
-    def recorded_last(bd, bs, extra):
-        shapes.append((bd.shape[0] + 1, bd.shape[1]))
-        return taylor_last(bd, bs, extra)
 
     # and a grown chunk's (B,) terms
     def recorded_grown(plan, chunk):
@@ -743,7 +738,6 @@ def _record_kernel_arrays(monkeypatch):
 
     grown = divdiff._grown
     monkeypatch.setattr(divdiff, "_taylor", recorded)
-    monkeypatch.setattr(divdiff, "_taylor_last", recorded_last)
     monkeypatch.setattr(divdiff, "_grown", recorded_grown)
     return shapes
 
@@ -832,7 +826,7 @@ def test_wide_model_refusal_counts_the_frontier(monkeypatch):
     # the M * K = 200 model's rows take few kernel operations each, so the
     # budget counts the words of every row the frontier builds too: it
     # refuses before the frontier has built more rows than it did when a
-    # grown row cost as much as its one-slice band (2,569,801)
+    # grown row was counted as a one-slice row of its nodes (2,569,801)
     rows = []
     batch = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
