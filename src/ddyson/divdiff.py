@@ -51,8 +51,8 @@ past it, and every row below it, is planned on its own nodes as above.
 Then the tail past degree n + W - 2 is at most e^4 / W! of the value, and
 W = 20 is the least window under the one-slice target (see ``_WINDOW``).
 The plan of a grown batch puts the rows within reach into grown chunks of
-2W table operations a row, and counts the words of every row the frontier
-built (``_WORD_OPS``) with the table operations.
+2W table operations a row.  A plan counts only the kernel's table
+operations: the engine counts the words of the rows its frontier built.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -83,10 +83,11 @@ _SLICE_CAP = 2.0
 # nodes w = i theta and L >= E cos theta >= 1 - a^2 / 6; for complex nodes
 # |L - 1| <= (e^a - 1 - a) / (n + 1) from n = 5, and L >= sin(a) / a at
 # n = 2 (the product of sinh z / z); at n = 3 and 4 a search over centred
-# nodes at a = 2 found L >= 0.65.  So the tail is below
-# a^(E+2) / (E+2)! e^(2a) relative to the value, and E is the least that
-# holds it to e^2 / 19! ~ 6e-17 (the bound at a = 1 with E = 17) at the cap
-# a = 2: E = 24 (9.1e-18; E = 23 gives 1.2e-16).  Every slice of every
+# nodes at a = 2 finds L >= 0.65 (test_divdiff.py's degree-rule lower-bound
+# test repeats it).  So the tail is below a^(E+2) / (E+2)! e^(2a) relative
+# to the value, and E is the least that holds it to e^2 / 19! ~ 6e-17 (the
+# bound at a = 1 with E = 17) at the cap a = 2: E = 24 (9.1e-18; E = 23
+# gives 1.2e-16).  Every slice of every
 # planned row takes it; a row of smaller a meets the bound with terms to
 # spare, which fall below its rounding.  A row of more slices carries every
 # entry of its tables, not only the centred last one, and its accuracy
@@ -111,7 +112,9 @@ _WINDOW = next(w for w in range(1, 64) if _WINDOW_REACH ** w / math.factorial(w)
 # result's relative error grows as t * spread * eps (against
 # ``exp_dd_highprec`` on real nodes: 1e-14 at t * spread = 1e4, 2e-10 at
 # 1e8, 9e-5 at 1e13, 1.5e-2 at 1e16), and past 1 / eps = 2^52 no digit of
-# it is significant; the phase e^{-i t mu} has the same limit.  The most
+# it is significant; the phase e^{-i t mu} has the same limit.  Within it the
+# phase (e^{-i t A} on a grown row) is off by t |mu| eps relative, the
+# condition number of e^{-itx} itself: documented, not mended.  The most
 # slices a row may take is 2^51.
 _RANGE = 2.0 ** 52
 _PAST_RANGE = ("is past the kernel's range 2^52: no digit of the divided "
@@ -227,11 +230,6 @@ def _squares(n_slices: int, n: int) -> bool:
 
 # Table operations of a grown row: two for each term of its window.
 _GROWN_OPS = 2 * _WINDOW
-# Table operations one word of a frontier row is counted as.  Building,
-# sorting and merging the children took 25-33 ns a word on the benchmark's
-# models and the M * K = 200 model of the tests, the kernel 3-4 ns an
-# operation (2-core Xeon), so a word is counted at about the time it takes.
-_WORD_OPS = 8
 
 
 def _table_ops(n: int, n_slices: int) -> int:
@@ -283,9 +281,9 @@ class _Plan(NamedTuple):
     """One batch made ready for the kernel by ``_plan``: the time (one, or
     one per row), the node rows (B, n), their means (B,) and centred nodes
     (n, B) (set only for rows that are not grown; (n, 0) if none is), the
-    kernel calls, the table operations they will spend (with the frontier
-    words of a grown batch), the ``_Growth`` it was made from, and the
-    (W, B) windows its grown rows write if they are kept."""
+    kernel calls, the table operations they will spend (those alone), the
+    ``_Growth`` it was made from, and the (W, B) windows its grown rows
+    write if they are kept."""
 
     t: float | np.ndarray
     x: np.ndarray
@@ -312,7 +310,7 @@ def _plan(t, node_rows) -> _Plan:
     and centred nodes; any other input as complex128.  ``t`` may instead
     be a ``_Growth`` of the rows: each row within the window reach then
     takes one grown chunk from its parent's window, and only the others
-    are centred and planned on their nodes.
+    are centred and planned on their nodes.  Its work is the kernel's alone.
 
     Raises ValueError on a bad array or time array and past the kernel's
     range, TypeError on a complex time (a value that overflows is found
@@ -340,8 +338,6 @@ def _plan(t, node_rows) -> _Plan:
     # the rows planned on their own nodes: all but the grown ones
     rest = np.arange(B)
     if growth is not None:
-        # the n nodes and the endpoint of each row the frontier built
-        work += B * (n + 1) * _WORD_OPS
         inside = growth.reach <= _WINDOW_REACH
         grown = np.flatnonzero(inside)
         if len(grown):
@@ -555,6 +551,8 @@ def exp_dd_batch(t, node_rows, *, plan: _Plan | None = None) -> np.ndarray:
     row at its time, bit for bit.  Raises ValueError on a bad time array,
     TypeError on a complex time, and ValueError past the kernel's range:
     where t * |x_j - mean| or t * |mean| passes 2^52, or a value overflows.
+    Within it the phase e^{-it mean} adds t * |mean| * eps relative error to
+    a value, the condition number of e^{-itx} itself.
     """
     if plan is None:
         plan = _plan(t, node_rows)

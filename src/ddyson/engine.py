@@ -38,23 +38,23 @@ seen from the root's origin, and moves with the row's nodes by each step's
 rate; the reach is max_j |t (v_j - anchor)|, the larger of the parent's and
 the new node's.  A row within the window reach is evaluated from its
 parent's Taylor window in O(W) and keeps its own window for its children.
-A block of rows is evaluated when it is popped from the depth-first stack:
-planned from its parent block's windows, counted, evaluated in one kernel
-call and expanded whole.  Its merged children go on the stack in blocks
+Every batch, the root's and the top order's too, is popped from the
+depth-first stack and planned from its parent block's windows, counted,
+evaluated in one kernel call and summed by the same lines.  Below the top
+it is expanded whole, and its merged children go on the stack in blocks
 small enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory
-stays bounded, and they alone hold the block's windows.  The children of
-a block one order below the top are evaluated as they are built, in one
-kernel call, with no sort, merge or stored window: they are never
+stays bounded; they alone hold the block's windows.  The top order's rows
+go on as one entry, with no sort, merge or stored window: they are never
 expanded, and at O(W) a row a merge would save less than it costs.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` table operations per call.
 ``evolve_by_order`` plans each batch once (``divdiff._plan``: the rows
 within reach grown, the others at their own slice count, sorted into
 kernel calls), adds the plan's count of the table operations those calls
-will spend and of the batch's frontier words, and hands the kernel that
-same plan; ``enumerate_paths`` adds for each path it yields the cost of a
-one-slice row of its nodes, what the kernel spends on it.  Either raises
-``CapacityError`` before the kernel runs past the budget.
+will spend and the batch's words at ``_WORD_OPS`` each, and hands the
+kernel that same plan; ``enumerate_paths`` adds for each path it yields
+the cost of a one-slice row of its nodes, what the kernel spends on it.
+Either raises ``CapacityError`` before the kernel runs past the budget.
 """
 
 from __future__ import annotations
@@ -72,13 +72,18 @@ from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
 # Table operations one call may spend, ~2.0e8: the kernel's, and the
-# frontier's words at ``divdiff._WORD_OPS`` each.  The oscillator (z0 = 4,
-# t = 0.06) passes at Q = 7 (1.42e8 operations as the plans count them,
-# ~0.3 s on 2 cores), and the two-level cosine drive of the tests (t = 0.5)
+# frontier's words at ``_WORD_OPS`` each.  The oscillator (z0 = 4, t = 0.06)
+# passes at Q = 7 (1.42e8 operations as the evolution counts them, ~0.3 s
+# on 2 cores), and the two-level cosine drive of the tests (t = 0.5)
 # is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise within
 # ~1 s: the tests' M * K = 200 random model at t = 0.05 after 0.6-0.8 s and
 # 2.50M rows; ~2 s where rows take the squaring route (long-time fermi).
 _WORK_LIMIT = 3 * 2 ** 26
+# Table operations one word of a frontier row is counted as.  Building,
+# sorting and merging the children took 25-33 ns a word on the benchmark's
+# models and the M * K = 200 model of the tests, the kernel 3-4 ns an
+# operation (2-core Xeon), so a word is counted at about the time it takes.
+_WORD_OPS = 8
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
 # The row hash's constants, SplitMix64's: 2^64 / golden ratio (odd), the
@@ -386,15 +391,15 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     """Per-order state contributions, shape (max_order + 1, dimension).
 
     Row q holds the endpoint-summed coefficients of all order-q paths, so
-    partial sums over rows give every truncation at once.  Each block of
-    rows below max_order is evaluated when it is popped: it is planned
-    once, from its parent block's windows, the budget counts the plan, one
-    ``exp_dd_batch`` call evaluates that same plan, row (z, v, weight)
-    adding weight * e^{-it[v]} at z (v relative to the picture's origin),
-    and its children go on the stack in blocks of at most
-    10 * _BLOCK_ROWS // (M * K) rows, each expanded whole, with the block's
-    windows.  The children of a block at max_order - 1 are evaluated as they
-    are built, neither sorted nor merged.
+    partial sums over rows give every truncation at once.  Each batch of
+    rows is evaluated when it is popped from one stack: it is planned
+    once, from its parent block's windows, the budget counts the plan and
+    the batch's frontier words, one ``exp_dd_batch`` call evaluates that
+    same plan, row (z, v, weight) adding weight * e^{-it[v]} at z (v
+    relative to the picture's origin), and, below max_order, its children
+    go on the stack with the batch's windows: in blocks of at most
+    10 * _BLOCK_ROWS // (M * K) rows, each expanded whole, or, where they
+    are of order max_order, as one entry, neither sorted nor merged.
     Deterministic.  Raises CapacityError where the output would hold more
     than ``_WORK_LIMIT`` entries, before anything is allocated, or once the
     batches counted so far would cost the kernel more than the work budget;
@@ -423,22 +428,6 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     block = max(1, min(_BLOCK_ROWS, 10 * _BLOCK_ROWS // (M * K)))
     out = np.zeros((max_order + 1, D), dtype=complex)
     work = 0
-
-    def step(q: int, rows: _Rows, parents, keep: bool):
-        """Plan, count, evaluate and sum one batch of order-q rows; the
-        rows' windows if kept."""
-        nonlocal work
-        offset = landing[rows.z] - rows.anchor
-        plan = _plan(_Growth(t, parents, rows.parent, offset, rows.anchor,
-                             rows.reach, keep), rows.y)
-        work += plan.work
-        if work > _WORK_LIMIT:
-            raise _over_budget(work, q)
-        values = rows.weight * exp_dd_batch(t, rows.y, plan=plan)
-        out[q] += (np.bincount(rows.z, values.real, D)
-                   + 1j * np.bincount(rows.z, values.imag, D))
-        return plan.windows
-
     # real where every rate is (``step_tables``), and so every child; the
     # anchor is the middle of the spectrum, relative to the root's origin
     dtype = np.result_type(landing, tables[1])
@@ -449,17 +438,26 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     stack = [(0, root, None)]
     while stack:
         q, rows, parents = stack.pop()
-        windows = step(q, rows, parents, q < max_order)
+        plan = _plan(_Growth(t, parents, rows.parent, landing[rows.z] - rows.anchor,
+                             rows.anchor, rows.reach, q < max_order), rows.y)
+        # the kernel's operations, and the words (nodes, endpoint) of each row
+        work += plan.work + (rows.y.size + rows.z.size) * _WORD_OPS
+        if work > _WORK_LIMIT:
+            raise _over_budget(work, q)
+        values = rows.weight * exp_dd_batch(t, rows.y, plan=plan)
+        out[q] += (np.bincount(rows.z, values.real, D)
+                   + 1j * np.bincount(rows.z, values.imag, D))
         # each array is dropped as soon as it is used: the windows and the
         # rows are not held while the next batch is built or evaluated
-        del parents
+        windows = plan.windows
+        del parents, plan, values
         if q == max_order:
             continue
         top = q + 1 == max_order
         children = _children(rows, t, landing, origin, *tables, top)
         del rows
         if top:
-            step(q + 1, children, windows, False)
+            stack.append((q + 1, children, windows))
         else:
             stack.extend((q + 1, children.take(slice(s, s + block)), windows)
                          for s in reversed(range(0, children.z.size, block)))

@@ -15,18 +15,15 @@ def kernel_work(monkeypatch):
     """The table operations of each ``_exp_dd_core`` call made while the
     test runs, by the kernel's own cost formula, in call order: each row
     evaluated at the chunk's slice count, or grown from its parent's
-    window, plus, in a batch the engine grew, the frontier words of its n
-    nodes and endpoint."""
+    window.  The engine's frontier words are not the kernel's work and are
+    not in it."""
     ran = []
     core = divdiff._exp_dd_core
 
     def recorded(plan, chunk):
         values = core(plan, chunk)
-        n = len(plan.delta)
         ops = (divdiff._GROWN_OPS if chunk.grown else
-               divdiff._table_ops(n, chunk.n_slices))
-        if plan.growth is not None:
-            ops += (n + 1) * divdiff._WORD_OPS
+               divdiff._table_ops(len(plan.delta), chunk.n_slices))
         ran.append(len(values) * ops)
         return values
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from ddyson import (
     DegenerateNodesError,
@@ -369,6 +370,34 @@ def test_extra_degree_follows_the_tail_bound():
     assert divdiff._EXTRA == 24
     assert tail(24, 2.0) <= target < tail(23, 2.0)
     assert tail(17, 1.0) == pytest.approx(target)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_degree_rule_lower_bound_at_three_and_four_complex_nodes(n):
+    # the tail bound behind _EXTRA needs L = (n - 1)! |e^{-i[x]}| >= e^-a
+    # at a = max_j |x_j - mu| = 2, t = 1; it is proved for real nodes, for
+    # two and from five complex nodes, and searched for here: the least L
+    # of random centred complex rows, then a local minimisation from the
+    # worst of them (0.696 at n = 3, 0.653 at n = 4)
+    scale = math.factorial(n - 1)
+
+    def at_cap(x):
+        x = x - x.mean(axis=-1, keepdims=True)
+        return x * (2.0 / np.abs(x).max(axis=-1, keepdims=True))
+
+    def least(p):
+        return scale * abs(exp_dd(1.0, at_cap(p[:n] + 1j * p[n:])))
+
+    rng = np.random.default_rng(65)
+    rows = at_cap(rng.standard_normal((20_000, n)) + 1j * rng.standard_normal((20_000, n)))
+    drawn = scale * np.abs(exp_dd_batch(1.0, rows))
+    worst = rows[np.argmin(drawn)]
+    found = minimize(least, np.concatenate([worst.real, worst.imag]),
+                     method="Nelder-Mead", options=dict(maxfev=600))
+    assert found.fun <= drawn.min()
+    assert found.fun >= math.exp(-2.0)
+    x = at_cap(found.x[:n] + 1j * found.x[n:])
+    assert scale * abs(exp_dd_highprec(1.0, x)) == pytest.approx(found.fun, rel=1e-12)
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])

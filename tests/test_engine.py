@@ -920,8 +920,9 @@ def oscillator(z0, Q):
 def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t, Q):
     limit = engine._WORK_LIMIT
     # each plan's count and the work of the kernel call that follows it,
-    # in order
-    counted, ran = [], []
+    # in order, and the frontier words of each batch the kernel ran: its n
+    # nodes and endpoint a row
+    counted, ran, words = [], [], []
     plan, batch = engine._plan, engine.exp_dd_batch
 
     def count(t, x):
@@ -933,6 +934,7 @@ def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t,
         start = len(kernel_work)
         values = batch(t, nodes, **kw)
         ran.append(sum(kernel_work[start:]))
+        words.append((nodes.size + len(nodes)) * engine._WORD_OPS)
         return values
 
     monkeypatch.setattr(engine, "_plan", count)
@@ -944,21 +946,24 @@ def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t,
         kernel_work.clear()
         counted.clear()
         ran.clear()
+        words.clear()
         evolve_by_order(model, z0, t, Q, picture)
         spent = sum(kernel_work)
         assert counted == ran and sum(ran) == spent
-        # the count equals the kernel's work: a budget of exactly that
-        # admits the run, and a budget one below it is passed before the
-        # kernel has run past it
-        monkeypatch.setattr(engine, "_WORK_LIMIT", spent)
+        # the budget counts the kernel's work and the frontier words: a
+        # budget of exactly that admits the run, and a budget one below it
+        # is passed before the kernel has run past it
+        total = spent + sum(words)
+        monkeypatch.setattr(engine, "_WORK_LIMIT", total)
         evolve_by_order(model, z0, t, Q, picture)
-        monkeypatch.setattr(engine, "_WORK_LIMIT", spent - 1)
+        monkeypatch.setattr(engine, "_WORK_LIMIT", total - 1)
         kernel_work.clear()
         counted.clear()
         ran.clear()
+        words.clear()
         with pytest.raises(CapacityError):
             evolve_by_order(model, z0, t, Q, picture)
-        assert sum(kernel_work) <= spent - 1
+        assert sum(kernel_work) + sum(words) <= total - 1
         # the batch whose count passes the budget never reaches the kernel
         assert ran == counted[:-1]
 
