@@ -42,16 +42,24 @@ nodes shifted by the step's rate, which by the shift identity is only a
 phase, so the anchor moves with them, plus one new node x_n.  Its window
 is W updates of its parent's, c_k = (c_(k-1) bd_n + bs p_(k-1)) / k, the
 one-slice update of that entry: O(W) whatever n.  Its value is
-e^{-itA} sum_k c_k.  Where the rates are real the window is too: term k
+e^{-itA} sum_k c_k, read from its parent's window, its new node, anchor
+and reach alone: a grown row's nodes are never read, and the engine
+need not build them.  Where the rates are real the window is too: term k
 is (-i)^k times a real term, added to the real or the imaginary part by
-k mod 4, with the roundings of the complex route.  A row carries a window
-while its reach max_j |t (x_j - A)| is at most ``_WINDOW_REACH`` = 1; a
+k mod 4, with the roundings of the complex route.  A row is grown while
+its reach max_j |t (x_j - A)| is at most ``_WINDOW_REACH`` = 1; a
 child's reach is the larger of its parent's and its new node's, so a row
-past it, and every row below it, is planned on its own nodes as above.
-Then the tail past degree n + W - 2 is at most e^4 / W! of the value, and
-W = 20 is the least window under the one-slice target (see ``_WINDOW``).
-The plan of a grown batch puts the rows within reach into grown chunks of
-2W table operations a row.  A plan counts only the kernel's table
+past it is planned on its own nodes as above (a NaN reach is too, so its
+nodes are checked).  Then the tail past degree n + W - 2 is at most
+e^4 / W! of the value, and W = 20 is the least window under the
+one-slice target (see ``_WINDOW``).  A one-slice row planned on its own
+nodes runs the same update from e_0 about its mean mu, so the terms
+k = n - 1 .. n + W - 2 of its last entry are its window about mu: where
+some parent of its batch held a window, it keeps that one, and if its
+own a is at most the window reach, it takes anchor mu and reach a, and
+its children grow again.  The plan of a grown batch puts the rows within
+reach into grown chunks of 2W table operations a row, and needs the
+nodes of the other rows alone.  A plan counts only the kernel's table
 operations: the engine counts the words of the rows its frontier built.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
@@ -183,13 +191,13 @@ def _centered(xt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, xt - mu
 
 
-def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
+def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of a node-major batch with ``_centered`` means mu and nodes
     delta, at one time ``t`` or one per row: its slice exponent m, for
-    s = 2^m slices, the least m with max_j |t (x_j - mu)| / s <=
-    ``_SLICE_CAP``.  A real batch is read with no imaginary half.  Raises
-    ValueError past the kernel's range, where t |x_j - mu| or t |mu|
-    passes 2^52."""
+    s = 2^m slices, the least m with a / s <= ``_SLICE_CAP``, and
+    a = max_j |t (x_j - mu)| itself.  A real batch is read with no imaginary
+    half.  Raises ValueError past the kernel's range, where t |x_j - mu| or
+    t |mu| passes 2^52."""
     scaled = t * delta
     if np.iscomplexobj(delta):
         # |z| as sqrt(re^2 + im^2), several times faster than numpy's
@@ -207,9 +215,9 @@ def _row_keys(t, mu: np.ndarray, delta: np.ndarray) -> np.ndarray:
     if not phase <= _RANGE:
         raise ValueError(f"time times the node mean, {phase:.3g}, {_PAST_RANGE}")
     if top <= _SLICE_CAP:
-        return np.zeros(len(amax), np.int16)
+        return np.zeros(len(amax), np.int16), amax
     mant, exp = np.frexp(amax / _SLICE_CAP)
-    return np.maximum(0, exp - (mant == 0.5)).astype(np.int16)
+    return np.maximum(0, exp - (mant == 0.5)).astype(np.int16), amax
 
 
 def _squares(n_slices: int, n: int) -> bool:
@@ -251,27 +259,30 @@ def _table_ops(n: int, n_slices: int) -> int:
 
 class _Chunk(NamedTuple):
     """The rows of one kernel call: their batch indices, the slice count,
-    and whether the rows are grown from their parents' windows (one
-    slice)."""
+    whether the rows are grown from their parents' windows (one slice),
+    and for rows planned on their own nodes their indices into the plan's
+    arrays of those rows."""
 
     rows: slice | np.ndarray
     n_slices: int
     grown: bool = False
+    at: slice | np.ndarray | None = None
 
 
 class _Growth(NamedTuple):
     """A batch of rows each made from a parent row by one more node, as the
     engine's frontier makes them (see the module docstring): the time; the
-    parents' windows (W, P), or None where no parent holds one (and for a
-    root row, which has no parent); per row, its parent's column, the new
-    node's offset x_n - A from the row's anchor A, the anchor, and the reach
+    rows' node count n; the parents' windows (W, P), or None where no parent
+    holds one (and for a root row, which has no parent); per row, its
+    parent's column, the new node x_n, the row's anchor A and its reach
     max_j |t (x_j - A)|; and whether the rows' own windows are kept for
     their children."""
 
     t: float
+    n: int
     parents: np.ndarray | None
     parent: np.ndarray
-    offset: np.ndarray
+    node: np.ndarray
     anchor: np.ndarray
     reach: np.ndarray
     keep: bool
@@ -279,11 +290,13 @@ class _Growth(NamedTuple):
 
 class _Plan(NamedTuple):
     """One batch made ready for the kernel by ``_plan``: the time (one, or
-    one per row), the node rows (B, n), their means (B,) and centred nodes
-    (n, B) (set only for rows that are not grown; (n, 0) if none is), the
-    kernel calls, the table operations they will spend (those alone), the
-    ``_Growth`` it was made from, and the (W, B) windows its grown rows
-    write if they are kept."""
+    one per row); for the R rows planned on their own nodes, their nodes
+    and centred nodes, node-major (n, R), and their means (R,); the kernel
+    calls, the table operations they will spend (those alone), and the
+    batch's row count B.  With a ``_Growth``: the growth, the (W, B)
+    windows the rows write if any row keeps one, and each row's anchor and
+    reach for its children, the growth's save where a row planned on its
+    own nodes keeps its window about its mean."""
 
     t: float | np.ndarray
     x: np.ndarray
@@ -291,8 +304,11 @@ class _Plan(NamedTuple):
     delta: np.ndarray
     chunks: tuple
     work: int
+    size: int
     growth: _Growth | None = None
     windows: np.ndarray | None = None
+    anchor: np.ndarray | None = None
+    reach: np.ndarray | None = None
 
 
 def _run(rows: np.ndarray) -> slice | np.ndarray:
@@ -303,6 +319,13 @@ def _run(rows: np.ndarray) -> slice | np.ndarray:
     return rows
 
 
+def _in_reach(reach: np.ndarray) -> np.ndarray:
+    """Which rows of a ``_Growth`` are grown from their parents' windows:
+    those whose reach is at most ``_WINDOW_REACH``.  A NaN reach is not,
+    so that row is planned on its own nodes, and its nodes are checked."""
+    return reach <= _WINDOW_REACH
+
+
 def _plan(t, node_rows) -> _Plan:
     """Validate a 2-D array of node rows and plan its evaluation at one
     time ``t`` or at one time per row (see the module docstring).  Rows of
@@ -310,7 +333,12 @@ def _plan(t, node_rows) -> _Plan:
     and centred nodes; any other input as complex128.  ``t`` may instead
     be a ``_Growth`` of the rows: each row within the window reach then
     takes one grown chunk from its parent's window, and only the others
-    are centred and planned on their nodes.  Its work is the kernel's alone.
+    are centred and planned on their nodes, so ``node_rows`` may hold
+    theirs alone, in batch order.  Where the plan keeps windows, a
+    one-slice row planned on its nodes writes its window about its mean
+    mu; where some parent held a window, one with
+    a = max_j |t (x_j - mu)| <= ``_WINDOW_REACH`` takes anchor mu and
+    reach a for its children.  Its work is the kernel's alone.
 
     Raises ValueError on a bad array or time array and past the kernel's
     range, TypeError on a complex time (a value that overflows is found
@@ -334,45 +362,61 @@ def _plan(t, node_rows) -> _Plan:
             raise ValueError(f"expected one finite time per row ({B})")
     else:
         t = _check_time(t)
-    chunks, work, windows = [], 0, None
-    # the rows planned on their own nodes: all but the grown ones
-    rest = np.arange(B)
-    if growth is not None:
-        inside = growth.reach <= _WINDOW_REACH
-        grown = np.flatnonzero(inside)
+    chunks, work, windows, anchor, reach = [], 0, None, None, None
+    if growth is None:
+        rest = np.arange(B)
+    else:
+        B, n, anchor, reach = len(growth.parent), growth.n, growth.anchor, growth.reach
+        inside = _in_reach(reach)
+        # the rows planned on their own nodes: all but the grown ones
+        grown, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
+        if x.shape[1] != n or len(x) not in (B, len(rest)):
+            raise ValueError(f"expected the node rows of all {B} rows or of the "
+                             f"{len(rest)} past the window reach, {n} nodes a row")
         if len(grown):
-            phase = np.abs(t * growth.anchor[grown]).max()
+            phase = np.abs(t * anchor[grown]).max()
             if not phase <= _RANGE:
                 raise ValueError(f"time times the node anchor, {phase:.3g}, {_PAST_RANGE}")
-            if growth.keep:
-                windows = np.empty((_WINDOW, B), growth.offset.dtype)
             for start in range(0, len(grown), _CHUNK_ELEMENTS):
                 rows = grown[start:start + _CHUNK_ELEMENTS]
                 chunks.append(_Chunk(_run(rows), 1, grown=True))
             work += len(grown) * _GROWN_OPS
-            rest = np.flatnonzero(~inside)
     R = len(rest)
-    mu = np.empty(B, dtype=x.dtype)
-    # (n, 0) where every row is grown
-    delta = np.empty((n, B if R else 0), dtype=x.dtype)
-    if not R:
-        return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if R:
         # take gathers the rows node-major, (n, R), in one pass
-        m, d = _centered(x.T.take(rest, axis=1))
-        key = _row_keys(t[rest] if per_row else t, m, d)
-    mu[rest], delta[:, rest] = m, d
-    # rows of one slice count form a group
-    ranked = np.argsort(key, kind="stable")
-    key, order = key[ranked], rest[ranked]
-    cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), R]
-    for lo, hi in zip(cuts, cuts[1:]):
-        n_slices = 1 << int(key[lo])
-        step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n))
-        for start in range(lo, hi, step):
-            chunks.append(_Chunk(_run(order[start:min(start + step, hi)]), n_slices))
-        work += (hi - lo) * _table_ops(n, n_slices)
-    return _Plan(t, x, mu, delta, tuple(chunks), work, growth, windows)
+        xt = x.T.take(rest, axis=1) if len(x) == B else np.ascontiguousarray(x.T)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, delta = _centered(xt)
+            key, a = _row_keys(t[rest] if per_row else t, mu, delta)
+        # rows of one slice count form a group
+        ranked = np.argsort(key, kind="stable")
+        key = key[ranked]
+        cuts = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), R]
+        for lo, hi in zip(cuts, cuts[1:]):
+            n_slices = 1 << int(key[lo])
+            step = max(1, _CHUNK_ELEMENTS // (n * n if _squares(n_slices, n) else n))
+            for start in range(lo, hi, step):
+                part = ranked[start:min(start + step, hi)]
+                chunks.append(_Chunk(_run(rest[part]), n_slices, at=_run(part)))
+            work += (hi - lo) * _table_ops(n, n_slices)
+    else:
+        xt = delta = np.empty((n, 0), x.dtype)
+        mu = np.empty(0, x.dtype)
+    if growth is not None and growth.keep:
+        # one slice holds a <= _WINDOW_REACH.  Rows keep a window about
+        # their mean only where some parent held one: with none, the rows
+        # have been past the reach from the root on, and stay planned whole
+        close = (np.flatnonzero(a <= _WINDOW_REACH) if R and growth.parents is not None
+                 else ())
+        if len(close):
+            anchor = anchor.copy()
+            # a real growth's rows are real, in whatever dtype x holds them
+            anchor[rest[close]] = mu[close] if np.iscomplexobj(anchor) else mu[close].real
+            reach = reach.copy()
+            reach[rest[close]] = a[close]
+        if len(close) or R < B:
+            windows = np.empty((_WINDOW, B), np.result_type(growth.node, growth.anchor))
+    return _Plan(t, xt, mu, delta, tuple(chunks), work, B, growth, windows, anchor, reach)
 
 
 @lru_cache(maxsize=None)
@@ -402,20 +446,26 @@ def _spread_order(delta: np.ndarray) -> np.ndarray:
     return order[_bit_reversal(len(delta))]
 
 
-def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int) -> np.ndarray:
+def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int,
+            window: np.ndarray | None = None) -> np.ndarray:
     """r @ exp(diag(bd) + bs S) by its Taylor polynomial of ``degree``, on
     the node axis 0: the one Taylor loop of every row planned on its own
     nodes (r the top row e_0 of a one-slice or chained row, the identity of
     a slice table).  Each term updates every entry of r, two table
-    operations an entry (``_table_ops``)."""
+    operations an entry (``_table_ops``).  Where ``window`` (W, B) is given,
+    window[i] receives the last entry of term k = n - 1 + i, n = len(r):
+    a one-slice row's window (``_Growth``)."""
     acc = r.copy()
     term = r.copy()
     nxt = np.empty_like(acc)
+    first = len(r) - 1
     for k in range(1, degree + 1):
         np.multiply(term, bd, out=nxt)
         nxt[1:] += bs * term[:-1]
         nxt *= 1.0 / k
         acc += nxt
+        if window is not None and 0 <= k - first < len(window):
+            window[k - first] = nxt[-1]
         term, nxt = nxt, term
     return acc
 
@@ -432,7 +482,8 @@ def _inverse(k: int) -> tuple:
 
 def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     """Values of the grown rows of one chunk of a plan, and their windows
-    where the plan keeps them (see ``_Growth``).
+    where the plan keeps them (see ``_Growth``), from the growth alone: no
+    grown row reads the plan's nodes.
 
     A row of n nodes extends its parent's window (terms k - 1 = n - 2 ..
     n + W - 3 at the parent's last entry, p_(k-1)) by its new node, bd =
@@ -440,16 +491,18 @@ def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     c_k = (c_(k-1) bd + bs p_(k-1)) / k, c_(n-2) = 0, the update and the
     roundings of ``_taylor`` from e_0 for that entry, and the terms are
     summed in its order.  A root row (n = 1) starts from c_0 = 1 and takes
-    c_k = c_(k-1) bd / k; its value is the exponential itself.  A real
-    offset (real rates) makes a real window, which stands for -i bd and
-    -i bs: term k is then (-i)^k times the real term computed, and each
-    operation on it rounds as the complex route rounds the part of its
-    term that is not zero, so term k adds to the real or the imaginary
-    part by k mod 4 and the value is bit for bit the complex route's.
+    c_k = c_(k-1) bd / k; its value is the exponential of its node itself.
+    A real offset x_n - A (real rates) makes a real window, which stands
+    for -i bd and -i bs: term k is then (-i)^k times the real term
+    computed, and each operation on it rounds as the complex route rounds
+    the part of its term that is not zero, so term k adds to the real or
+    the imaginary part by k mod 4 and the value is bit for bit the complex
+    route's.
     """
     growth, rows = plan.growth, chunk.rows
-    t, n = growth.t, plan.x.shape[1]
-    offset = growth.offset[rows]
+    t, n = growth.t, growth.n
+    node, anchor = growth.node[rows], growth.anchor[rows]
+    offset = node - anchor
     real = not np.iscomplexobj(offset)
     last = np.zeros(len(offset), dtype=complex)
     # where term k adds into ``last``, by k mod 4: the array and the ufunc
@@ -478,8 +531,8 @@ def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
         acc, add = sums[k % 4]
         add(acc, term, out=acc)
     if n == 1:
-        return np.exp(-1j * t * plan.x[rows, 0])
-    return last * np.exp(-1j * t * growth.anchor[rows])
+        return np.exp(-1j * t * node)
+    return last * np.exp(-1j * t * anchor)
 
 
 def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
@@ -487,27 +540,27 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     a plan.
 
     One slice carries (n, B) rows from e_0 through one ``_taylor`` on the
-    plan's centred nodes; chained slices carry them through one ``_taylor``
-    a slice, and the squaring route (n, n, B) tables through one, on
-    reordered nodes (see ``_table_ops``); grown rows run through
+    plan's centred nodes, and writes their windows about their means where
+    the plan keeps windows; chained slices carry them through one
+    ``_taylor`` a slice, and the squaring route (n, n, B) tables through
+    one, on reordered nodes (see ``_table_ops``); grown rows run through
     ``_grown``.  Only ``exp_dd_batch`` calls it.
     """
     if chunk.grown:
         return _grown(plan, chunk)
-    rows, n_slices = chunk.rows, chunk.n_slices
-    t = plan.t[rows] if np.ndim(plan.t) else plan.t
-    mu = plan.mu[rows]
+    at, n_slices = chunk.at, chunk.n_slices
+    t = plan.t[at] if np.ndim(plan.t) else plan.t
+    mu = plan.mu[at]
     n = len(plan.delta)
     # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA``
     if n == 1:
         return np.exp(-1j * t * mu)
     # take keeps a gathered block node-major (fancy indexing would not)
-    delta = (plan.delta[:, rows] if isinstance(rows, slice)
-             else plan.delta.take(rows, axis=1))
+    delta = plan.delta[:, at] if isinstance(at, slice) else plan.delta.take(at, axis=1)
     squares = _squares(n_slices, n)
     if n_slices > 1:
         # one slice is accurate in any node order; chaining is not
-        xt = np.ascontiguousarray(plan.x[rows].T)
+        xt = plan.x[:, at] if isinstance(at, slice) else plan.x.take(at, axis=1)
         xt = np.take_along_axis(xt, _spread_order(delta), axis=0)
         # the products of a squaring cancel more than a row update does;
         # extended precision (where the platform has it) absorbs that
@@ -518,8 +571,12 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     if not squares:
         r = np.zeros(delta.shape, dtype=complex)
         r[0] = 1.0
+        window = (np.empty((_WINDOW, len(mu)), complex)
+                  if n_slices == 1 and plan.windows is not None else None)
         for _ in range(n_slices):
-            r = _taylor(r, bd, bs, degree) * phase
+            r = _taylor(r, bd, bs, degree, window) * phase
+        if window is not None:
+            _keep_window(plan.windows, chunk.rows, window, n)
         return r[-1]
     # table[j, i, b] is entry (i, j) of row b's slice table, and matmul
     # reads its matrices on axes (1, 0)
@@ -528,6 +585,19 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     for _ in range(n_slices.bit_length() - 1):
         table = np.matmul(table, table, axes=[(1, 0)] * 3)
     return table[-1, 0].astype(complex)
+
+
+def _keep_window(windows: np.ndarray, rows, window: np.ndarray, n: int) -> None:
+    """Write one-slice rows' windows (terms k = n - 1 .. n + W - 2, complex)
+    into a plan's windows at batch columns ``rows``.  Real windows hold
+    r_k with c_k = (-i)^k r_k, as ``_grown`` keeps them: r_k is Re c, -Im c,
+    -Re c or Im c by k mod 4, each exact, as a real row's complex terms
+    have one part zero."""
+    if np.iscomplexobj(windows):
+        windows[:, rows] = window
+        return
+    for i, c in enumerate(window):
+        windows[i, rows] = (c.real, -c.imag, -c.real, c.imag)[(n - 1 + i) % 4]
 
 
 def exp_dd(t, inputs) -> complex:
@@ -556,7 +626,7 @@ def exp_dd_batch(t, node_rows, *, plan: _Plan | None = None) -> np.ndarray:
     """
     if plan is None:
         plan = _plan(t, node_rows)
-    out = np.empty(len(plan.mu), dtype=complex)
+    out = np.empty(plan.size, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for chunk in plan.chunks:
             out[chunk.rows] = _exp_dd_core(plan, chunk)

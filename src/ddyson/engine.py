@@ -38,23 +38,28 @@ seen from the root's origin, and moves with the row's nodes by each step's
 rate; the reach is max_j |t (v_j - anchor)|, the larger of the parent's and
 the new node's.  A row within the window reach is evaluated from its
 parent's Taylor window in O(W) and keeps its own window for its children.
-Every batch, the root's and the top order's too, is popped from the
-depth-first stack and planned from its parent block's windows, counted,
-evaluated in one kernel call and summed by the same lines.  Below the top
-it is expanded whole, and its merged children go on the stack in blocks
-small enough (``_BLOCK_ROWS`` rows, fewer where M * K > 10) that memory
-stays bounded; they alone hold the block's windows.  The top order's rows
-go on as one entry, with no sort, merge or stored window: they are never
-expanded, and at O(W) a row a merge would save less than it costs.
+A row past it is planned on its own nodes; if its own nodes lie within the
+reach of their mean, its plan gives it that mean as anchor, and its window
+about it, so its children grow again.  Every batch, the root's and the top
+order's too, is popped from the depth-first stack and planned from its
+parent block's windows, counted, evaluated in one kernel call and summed
+by the same lines.  Below the top it is expanded whole, and its merged
+children go on the stack in blocks small enough (``_BLOCK_ROWS`` rows,
+fewer where M * K > 10) that memory stays bounded; they alone hold the
+block's windows.  The top order's rows go on as one entry, with no sort,
+merge or stored window: they are never expanded, and at O(W) a row a merge
+would save less than it costs.  Only its rows past the window reach have
+their nodes built, since no grown row reads its nodes.
 
 Time is bounded by one budget, ``_WORK_LIMIT`` table operations per call.
 ``evolve_by_order`` plans each batch once (``divdiff._plan``: the rows
 within reach grown, the others at their own slice count, sorted into
 kernel calls), adds the plan's count of the table operations those calls
-will spend and the batch's words at ``_WORD_OPS`` each, and hands the
-kernel that same plan; ``enumerate_paths`` adds for each path it yields
-the cost of a one-slice row of its nodes, what the kernel spends on it.
-Either raises ``CapacityError`` before the kernel runs past the budget.
+will spend and the words the frontier built for the batch at ``_WORD_OPS``
+each, and hands the kernel that same plan; ``enumerate_paths`` adds for
+each path it yields the cost of a one-slice row of its nodes, what the
+kernel spends on it.  Either raises ``CapacityError`` before the kernel
+runs past the budget.
 """
 
 from __future__ import annotations
@@ -65,24 +70,26 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .divdiff import (_Growth, _check_int, _check_time, _plan, _table_ops, exp_dd,
-                      exp_dd_batch)
+from .divdiff import (_Growth, _check_int, _check_time, _in_reach, _plan, _table_ops,
+                      exp_dd, exp_dd_batch)
 from .errors import CapacityError, ModelError
 from .hamiltonian import (HamiltonianModel, _check_index, is_time_independent,
                           path_energies)
 
 # Table operations one call may spend, ~2.0e8: the kernel's, and the
 # frontier's words at ``_WORD_OPS`` each.  The oscillator (z0 = 4, t = 0.06)
-# passes at Q = 7 (1.42e8 operations as the evolution counts them, ~0.3 s
+# passes at Q = 7 (6.9e7 operations as the evolution counts them, ~0.2 s
 # on 2 cores), and the two-level cosine drive of the tests (t = 0.5)
 # is refused at Q = 20 after ~0.4 s.  Inputs past the budget raise within
-# ~1 s: the tests' M * K = 200 random model at t = 0.05 after 0.6-0.8 s and
+# ~1 s: the tests' M * K = 200 random model at t = 0.05 after 0.4-0.5 s and
 # 2.50M rows; ~2 s where rows take the squaring route (long-time fermi).
 _WORK_LIMIT = 3 * 2 ** 26
-# Table operations one word of a frontier row is counted as.  Building,
-# sorting and merging the children took 25-33 ns a word on the benchmark's
-# models and the M * K = 200 model of the tests, the kernel 3-4 ns an
-# operation (2-core Xeon), so a word is counted at about the time it takes.
+# Table operations one word the frontier builds is counted as: a row's
+# endpoint, weight, parent, anchor and reach, and each node built.  Building,
+# sorting and merging the children took 10-29 ns a word on the benchmark's
+# `orders` models and the M * K = 200 model of the tests, the kernel 2.5-4.3
+# ns an operation (2-core Xeon), so a word is counted at about the time it
+# takes.
 _WORD_OPS = 8
 # Frontier rows expanded and merged together before the next order.
 _BLOCK_ROWS = 4096
@@ -271,7 +278,8 @@ class _Rows(NamedTuple):
     """Frontier rows: endpoint z, the picture's nodes y (R, n), float64
     where the model's rates are real and complex128 otherwise, the complex
     weight, and for the kernel's windows (``divdiff._Growth``) each row's
-    parent row, anchor and reach.  y is sorted, save on the top order."""
+    parent row, anchor and reach.  y is sorted, save on the top order,
+    where it holds the nodes of the rows past the window reach alone."""
 
     z: np.ndarray
     y: np.ndarray
@@ -365,19 +373,23 @@ def _children(rows: _Rows, t: float, landing, origin, targets, lam, d,
               top: bool) -> _Rows:
     """Every defined, non-vanishing step from every row (landing = E - origin),
     sorted and merged below the top order; the top order's rows are summed
-    as they are."""
+    as they are, and only those past the window reach, which the kernel
+    plans on their own nodes, have their nodes built."""
     zc, dc, (m, k, r) = _steps(targets, d, rows.z)
     z = zc[m, r]
     rate = lam[m, k, z] - (origin[rows.z[r]] - origin[z])
-    n = rows.y.shape[1]
-    y = np.empty((len(z), n + 1), rows.y.dtype)
-    # gathered _BLOCK_ROWS rows at a time: the parts stay in cache
-    for s in range(0, len(z), _BLOCK_ROWS):
-        part = slice(s, s + _BLOCK_ROWS)
-        np.subtract(rows.y[r[part]], rate[part, None], out=y[part, :n])
-    y[:, n] = landing[z]
+    node = landing[z]
     anchor = rows.anchor[r] - rate
-    reach = np.maximum(rows.reach[r], np.abs(t * (y[:, n] - anchor)))
+    reach = np.maximum(rows.reach[r], np.abs(t * (node - anchor)))
+    built = np.flatnonzero(~_in_reach(reach)) if top else slice(None)
+    source, shift = r[built], rate[built]
+    n = rows.y.shape[1]
+    y = np.empty((len(source), n + 1), rows.y.dtype)
+    # gathered _BLOCK_ROWS rows at a time: the parts stay in cache
+    for s in range(0, len(source), _BLOCK_ROWS):
+        part = slice(s, s + _BLOCK_ROWS)
+        np.subtract(rows.y[source[part]], shift[part, None], out=y[part, :n])
+    y[:, n] = node[built]
     # r's own copy: np.nonzero returns views of one (R, 3) array
     children = _Rows(z, y, rows.weight[r] * dc[m, k, r], r.copy(), anchor, reach)
     if top:
@@ -394,12 +406,13 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     partial sums over rows give every truncation at once.  Each batch of
     rows is evaluated when it is popped from one stack: it is planned
     once, from its parent block's windows, the budget counts the plan and
-    the batch's frontier words, one ``exp_dd_batch`` call evaluates that
-    same plan, row (z, v, weight) adding weight * e^{-it[v]} at z (v
-    relative to the picture's origin), and, below max_order, its children
-    go on the stack with the batch's windows: in blocks of at most
+    the words the frontier built for it, one ``exp_dd_batch`` call
+    evaluates that same plan, row (z, v, weight) adding weight * e^{-it[v]}
+    at z (v relative to the picture's origin), and, below max_order, its
+    children go on the stack with the batch's windows: in blocks of at most
     10 * _BLOCK_ROWS // (M * K) rows, each expanded whole, or, where they
-    are of order max_order, as one entry, neither sorted nor merged.
+    are of order max_order, as one entry, neither sorted nor merged, with
+    nodes built only for the rows past the window reach.
     Deterministic.  Raises CapacityError where the output would hold more
     than ``_WORK_LIMIT`` entries, before anything is allocated, or once the
     batches counted so far would cost the kernel more than the work budget;
@@ -438,18 +451,22 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     stack = [(0, root, None)]
     while stack:
         q, rows, parents = stack.pop()
-        plan = _plan(_Growth(t, parents, rows.parent, landing[rows.z] - rows.anchor,
-                             rows.anchor, rows.reach, q < max_order), rows.y)
-        # the kernel's operations, and the words (nodes, endpoint) of each row
-        work += plan.work + (rows.y.size + rows.z.size) * _WORD_OPS
+        plan = _plan(_Growth(t, q + 1, parents, rows.parent, landing[rows.z], rows.anchor,
+                             rows.reach, q < max_order), rows.y)
+        # the kernel's operations, and the words the frontier built: each
+        # row's endpoint, weight, parent, anchor and reach, and its nodes
+        # where they were built
+        work += plan.work + (5 * rows.z.size + rows.y.size) * _WORD_OPS
         if work > _WORK_LIMIT:
             raise _over_budget(work, q)
         values = rows.weight * exp_dd_batch(t, rows.y, plan=plan)
         out[q] += (np.bincount(rows.z, values.real, D)
                    + 1j * np.bincount(rows.z, values.imag, D))
         # each array is dropped as soon as it is used: the windows and the
-        # rows are not held while the next batch is built or evaluated
+        # rows are not held while the next batch is built or evaluated;
+        # a row that keeps its window about its mean has that anchor now
         windows = plan.windows
+        rows = rows._replace(anchor=plan.anchor, reach=plan.reach)
         del parents, plan, values
         if q == max_order:
             continue

@@ -229,9 +229,9 @@ def test_counted_work_equals_the_work_of_the_kernel_arrays(monkeypatch):
     ran = []
     taylor, matmul = divdiff._taylor, np.matmul
 
-    def counted_taylor(r, bd, bs, degree):
+    def counted_taylor(r, bd, bs, degree, window=None):
         ran.append(2 * r.size * degree)
-        return taylor(r, bd, bs, degree)
+        return taylor(r, bd, bs, degree, window)
 
     def counted_matmul(a, b, **kw):
         n, _, B = a.shape
@@ -492,9 +492,8 @@ def _grow(t, x, anchor):
     parents, plans, B, n = None, [], len(x), x.shape[1]
     reach = np.zeros(B)
     for j in range(n):
-        offset = x[:, j] - anchor
-        reach = np.maximum(reach, np.abs(t * offset))
-        growth = divdiff._Growth(t, parents, np.arange(B), offset, anchor, reach,
+        reach = np.maximum(reach, np.abs(t * (x[:, j] - anchor)))
+        growth = divdiff._Growth(t, j + 1, parents, np.arange(B), x[:, j], anchor, reach,
                                  j < n - 1)
         plan = divdiff._plan(growth, x[:, :j + 1])
         values = exp_dd_batch(t, x[:, :j + 1], plan=plan)
@@ -562,12 +561,53 @@ def test_rows_at_the_window_reach_match_highprec(decay):
                 assert abs(value - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("decay", [0.0, 0.3], ids=["real", "decaying"])
+def test_planned_row_keeps_the_window_of_the_row_grown_about_its_mean(decay):
+    # a one-slice row planned on its own nodes, its reach about its lineage's
+    # anchor past the window reach, writes its window about its mean mu: the
+    # bits of the window of the same row grown node by node about mu, real
+    # (c_k = (-i)^k r_k) or complex.  Where its own a = max_j |t (x_j - mu)|
+    # is at most the window reach it takes anchor mu and reach a; past it,
+    # the growth's
+    rng = np.random.default_rng(27)
+    t = 0.8
+    for n in (2, 3, 7, 20, 33):
+        x = rng.uniform(-1.0, 1.0, (30, n)) - 1j * decay * rng.uniform(0.0, 1.0, (30, n))
+        x = x if decay else x.real.copy()
+        mu = x.mean(axis=1)
+        # a from ~0.05 up to 1.5: 20 rows keep their window, 10 do not
+        own = np.r_[rng.uniform(0.05, 1.0, 20), np.full(10, 1.5)]
+        x = mu[:, None] + (x - mu[:, None]) * (
+            own / np.abs(t * (x - mu[:, None])).max(axis=1))[:, None]
+        mu, delta = divdiff._centered(np.ascontiguousarray(x.T))
+        a = np.abs(t * delta).max(axis=0)
+        # the first 20 rows grown about mu, with one node more so the n-node
+        # plan keeps its windows
+        plans, _ = _grow(t, np.hstack([x[:20], x[:20, -1:]]), mu[:20])
+        grown = plans[n - 1]
+        far = np.linspace(3.0, 5.0, 30)
+        growth = divdiff._Growth(t, n, np.zeros((divdiff._WINDOW, 1)), np.zeros(30, np.intp),
+                                 x[:, -1], mu + far / t, far, True)
+        plan = divdiff._plan(growth, x)
+        assert {c.n_slices for c in plan.chunks} == {1}
+        assert not any(c.grown for c in plan.chunks)
+        exp_dd_batch(t, x, plan=plan)
+        assert plan.windows.dtype == (complex if decay else float)
+        # bit for bit, save the sign of a zero (x + 0.0 makes -0.0 +0.0): a
+        # centred row has exact zero terms, e.g. term 2 of two nodes
+        assert (plan.windows[:, :20] + 0.0).tobytes() == (grown.windows + 0.0).tobytes()
+        assert plan.anchor[:20].tobytes() == mu[:20].tobytes()
+        assert plan.reach[:20].tolist() == pytest.approx(a[:20].tolist(), rel=1e-15)
+        assert (plan.anchor[20:] == growth.anchor[20:]).all()
+        assert (plan.reach[20:] == far[20:]).all()
+
+
 def test_grown_rows_are_checked_for_range():
     # a grown row's phase t |anchor| past 2^52 is refused, as a row's
     # t |mean| is on its own nodes
     x = np.array([[2.0 ** 60], [2.0 ** 60 + 1.0]])
     anchor = x[:, 0] + 0.25
-    growth = divdiff._Growth(1.0, None, np.arange(2), x[:, 0] - anchor, anchor,
+    growth = divdiff._Growth(1.0, 1, None, np.arange(2), x[:, 0], anchor,
                              np.full(2, 0.25), True)
     with pytest.raises(ValueError, match="range"):
         divdiff._plan(growth, x)

@@ -32,6 +32,7 @@ from ddyson import (
     evolve_by_order,
     evolve_ti,
     exp_dd,
+    exp_dd_highprec,
     mat_exp_evolve,
     ode_evolve,
     transition_amplitude,
@@ -453,12 +454,13 @@ def test_merged_rows_match_per_path_oracle(monkeypatch):
     top = 4 * sum(key[0] == Q - 1 for key in keys)
     rows = []
     batch = engine.exp_dd_batch
-    monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes, **kw: rows.append(len(nodes)) or batch(t, nodes, **kw))
     for picture in ("schrodinger", "interaction"):
         want = per_path_orders(m, 0, t, Q, picture)
         rows.clear()
-        got = evolve_by_order(m, 0, t, Q, picture)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "exp_dd_batch", lambda t, nodes, plan:
+                          rows.append(plan.size) or batch(t, nodes, plan=plan))
+            got = evolve_by_order(m, 0, t, Q, picture)
         assert np.abs(got - want).max() <= 1e-12
         assert sum(rows) == len(keys) + top == 147
         assert sum(rows) < len(list(enumerate_paths(m, 0, Q))) / 4
@@ -661,8 +663,8 @@ def _grown_rows(monkeypatch):
 
     def recorded(t, y):
         made = plan(t, y)
-        grown = sum(np.arange(len(y))[c.rows].size for c in made.chunks if c.grown)
-        seen.append((y.shape[1] - 1, grown, len(y) - grown, made.windows is not None))
+        grown = sum(np.arange(made.size)[c.rows].size for c in made.chunks if c.grown)
+        seen.append((y.shape[1] - 1, grown, made.size - grown, made.windows is not None))
         return made
 
     monkeypatch.setattr(engine, "_plan", recorded)
@@ -696,6 +698,101 @@ def test_rows_past_the_window_reach_carry_no_windows(monkeypatch):
         (q, 0, False) for q in range(6)]
 
 
+def _reanchored_lineages(monkeypatch, model, z0, t, Q, picture):
+    """Run the engine and return how many rows kept their window about
+    their own mean, and the (nodes, value) of every row below the top order
+    grown from a lineage in which some row did."""
+    plan, batch = engine._plan, engine.exp_dd_batch
+    # per batch's windows, which of its rows' lineages re-anchored
+    moved, grown_rows, count = {}, [], [0]
+
+    def recorded(growth, y):
+        made = plan(growth, y)
+        lineage = (np.zeros(made.size, bool) if growth.parents is None
+                   else moved[id(growth.parents)][growth.parent])
+        here = made.anchor != growth.anchor
+        count[0] += here.sum()
+        if made.windows is not None:
+            moved[id(made.windows)] = lineage | here
+        # below the top order every row's nodes are built
+        chosen = lineage & divdiff._in_reach(growth.reach) & (len(y) == made.size)
+        grown_rows.append((y[chosen] if chosen.any() else y[:0], chosen))
+        return made
+
+    def kernel(t, nodes, plan):
+        values = batch(t, nodes, plan=plan)
+        nodes, chosen = grown_rows[-1]
+        grown_rows[-1] = (nodes, values[chosen])
+        return values
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_plan", recorded)
+        patch.setattr(engine, "exp_dd_batch", kernel)
+        evolve_by_order(model, z0, t, Q, picture)
+    return count[0], [(y, v) for nodes, values in grown_rows
+                      for y, v in zip(nodes, values)]
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+@pytest.mark.parametrize("case", ["oscillator", "decaying"])
+def test_rows_grown_after_a_row_reanchors_match_highprec(case, picture, monkeypatch):
+    # a row past the reach about its lineage's anchor whose own nodes are
+    # within 1 / t of their mean keeps its window about that mean, and its
+    # descendants grow from it again: real rows (the oscillator, at the
+    # benchmark's largest time) and complex ones (decaying rates), each
+    # held to the extended-precision recursion
+    model, t = ((oscillator(4, 5), 0.0762) if case == "oscillator"
+                else (random_model(np.random.default_rng(39)), 0.45))
+    z0 = 4 if case == "oscillator" else 0
+    reanchored, rows = _reanchored_lineages(monkeypatch, model, z0, t, 5, picture)
+    assert reanchored >= 20 and len(rows) >= 50
+    assert all(np.iscomplexobj(y) == (case == "decaying") for y, _ in rows)
+    rng = np.random.default_rng(41)
+    checked = 0
+    for i in rng.permutation(len(rows)):
+        y, value = rows[i]
+        if np.unique(y).size < y.size:
+            continue
+        want = exp_dd_highprec(t, y)
+        assert abs(value - want) <= 1e-13 * abs(want)
+        checked += 1
+        if checked == 30:
+            break
+    assert checked == 30
+
+
+@pytest.mark.parametrize("picture", PICTURES)
+def test_oscillator_plans_few_rows_on_their_own_nodes(picture, monkeypatch):
+    # at the benchmark's largest oscillator time, 4,791 of the 22,148 rows
+    # passed the reach about their lineage's anchor and were planned on their
+    # own nodes with every descendant; rows that keep their window about
+    # their mean leave 882
+    seen = _grown_rows(monkeypatch)
+    evolve_by_order(oscillator(4, 5), 4, 0.0762, 5, picture)
+    assert sum(grown + rest for _, grown, rest, _ in seen) == 22148
+    assert sum(rest for _, _, rest, _ in seen) <= 1000
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_top_order_builds_no_node_rows_within_the_reach(seed, monkeypatch):
+    # the dense K = 2 model's 4^8 top-order rows are all within the window
+    # reach: each is evaluated from its parent's window, anchor and new
+    # node, so the frontier builds none of their 9 nodes
+    built = np.zeros((9, 2), int)
+    plan = engine._plan
+
+    def recorded(growth, y):
+        built[growth.n - 1] += (y.size, len(growth.parent))
+        return plan(growth, y)
+
+    monkeypatch.setattr(engine, "_plan", recorded)
+    model = random_model(np.random.default_rng(seed), dim=4, n_terms=2, n_factors=2)
+    evolve_by_order(model, 0, 0.06, 8)
+    assert built[8].tolist() == [0, 4 ** 8]
+    assert built[:8, 0].tolist() == [4 ** q * (q + 1) for q in range(8)]
+    assert built[:8, 1].tolist() == [4 ** q for q in range(8)]
+
+
 def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     # merging in first-occurrence order loses no merge below the top
     # order, which is summed unmerged: the bundled oscillator makes 22,148
@@ -706,8 +803,8 @@ def test_kernel_rows_on_benchmark_shaped_models(monkeypatch):
     # batches)
     calls = []
     batch = engine.exp_dd_batch
-    monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes, **kw: calls.append(len(nodes)) or batch(t, nodes, **kw))
+    monkeypatch.setattr(engine, "exp_dd_batch", lambda t, nodes, plan:
+                        calls.append(plan.size) or batch(t, nodes, plan=plan))
     for picture in PICTURES:
         calls.clear()
         evolve_by_order(oscillator(4, 5), 4, 0.06, 5, picture)
@@ -829,8 +926,8 @@ def test_wide_model_refusal_counts_the_frontier(monkeypatch):
     # grown row was counted as a one-slice row of its nodes (2,569,801)
     rows = []
     batch = engine.exp_dd_batch
-    monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes, **kw: rows.append(len(nodes)) or batch(t, nodes, **kw))
+    monkeypatch.setattr(engine, "exp_dd_batch", lambda t, nodes, plan:
+                        rows.append(plan.size) or batch(t, nodes, plan=plan))
     model = random_model(np.random.default_rng(0), dim=20, n_terms=40, n_factors=5)
     with pytest.raises(CapacityError):
         evolve_by_order(model, 0, 0.05, 3)
@@ -920,8 +1017,8 @@ def oscillator(z0, Q):
 def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t, Q):
     limit = engine._WORK_LIMIT
     # each plan's count and the work of the kernel call that follows it,
-    # in order, and the frontier words of each batch the kernel ran: its n
-    # nodes and endpoint a row
+    # in order, and the frontier words of each batch the kernel ran: each
+    # row's endpoint, weight, parent, anchor and reach, and the nodes built
     counted, ran, words = [], [], []
     plan, batch = engine._plan, engine.exp_dd_batch
 
@@ -930,11 +1027,11 @@ def test_counted_work_covers_kernel_work(monkeypatch, kernel_work, model, z0, t,
         counted.append(made.work)
         return made
 
-    def kernel(t, nodes, **kw):
+    def kernel(t, nodes, plan):
         start = len(kernel_work)
-        values = batch(t, nodes, **kw)
+        values = batch(t, nodes, plan=plan)
         ran.append(sum(kernel_work[start:]))
-        words.append((nodes.size + len(nodes)) * engine._WORD_OPS)
+        words.append((nodes.size + 5 * plan.size) * engine._WORD_OPS)
         return values
 
     monkeypatch.setattr(engine, "_plan", count)
@@ -996,7 +1093,7 @@ def test_work_budget_calibration(monkeypatch):
     # the budget's documented calibration, with the kernel stubbed out so
     # only the frontier and the count run
     monkeypatch.setattr(engine, "exp_dd_batch",
-                        lambda t, nodes, **kw: np.zeros(len(nodes), complex))
+                        lambda t, nodes, plan: np.zeros(plan.size, complex))
     evolve_by_order(oscillator(4, 7), 4, 0.06, 7)
     with pytest.raises(CapacityError):
         evolve_by_order(cosine_drive(), 0, 0.5, 20)
@@ -1011,17 +1108,21 @@ def test_work_budget_admits_oscillator_order_six():
 
 def test_rows_past_the_kernel_range_are_refused_by_the_budget(monkeypatch):
     # the order-1 row's nodes are 2^60 apart, past the kernel's 2^52
-    # slices, or both 2^60, past its phase range: the budget pass refuses
-    # the row, and the kernel sees only the root
+    # slices, or both 2^60, past its phase range, or one is 1e308 + 1e308,
+    # which overflows (numpy warns as the frontier builds it; at t = 1e-300
+    # the root is in range): the budget pass refuses the row, at the top
+    # order and below it, and the kernel sees only the root
     seen = []
     kernel = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
                         lambda t, nodes, **kw: seen.append(nodes.shape) or kernel(t, nodes, **kw))
-    for params in (FermiParams(0.0, 2.0 ** 60, 0.0, 1.0),
-                   FermiParams(0.0, 2.0 ** 60, 2.0 ** 60, 1.0)):
+    cases = ((FermiParams(0.0, 2.0 ** 60, 0.0, 1.0), 1.0, "range"),
+             (FermiParams(0.0, 2.0 ** 60, 2.0 ** 60, 1.0), 1.0, "range"),
+             (FermiParams(1e308, 0.0, 1e308, 1.0), 1e-300, "finite"))
+    for (params, t, match), Q in product(cases, (1, 2)):
         seen.clear()
-        with pytest.raises(ValueError, match="range"):
-            evolve_by_order(build_fermi(params), 0, 1.0, 1)
+        with pytest.raises(ValueError, match=match), np.errstate(over="ignore"):
+            evolve_by_order(build_fermi(params), 0, t, Q)
         assert seen == [(1, 1)]
 
 
