@@ -54,13 +54,15 @@ nodes are checked).  Then the tail past degree n + W - 2 is at most
 e^4 / W! of the value, and W = 20 is the least window under the
 one-slice target (see ``_WINDOW``).  A one-slice row planned on its own
 nodes runs the same update from e_0 about its mean mu, so the terms
-k = n - 1 .. n + W - 2 of its last entry are its window about mu: where
-some parent of its batch held a window, it keeps that one, and if its
-own a is at most the window reach, it takes anchor mu and reach a, and
-its children grow again.  The plan of a grown batch puts the rows within
-reach into grown chunks of 2W table operations a row, and needs the
-nodes of the other rows alone.  A plan counts only the kernel's table
-operations: the engine counts the words of the rows its frontier built.
+k = n - 1 .. n + W - 2 of its last entry are its window about mu (a
+single node's is 1, 0, 0, ...).  In a batch that keeps windows it keeps
+that one, and if its own a is at most the window reach, it takes anchor
+mu and reach a, and its children grow again: one rule for every
+lineage, a root past the reach of its anchor included.  The plan of a
+grown batch puts the rows within reach into grown chunks of 2W table
+operations a row, and needs the nodes of the other rows alone.  A plan
+counts only the kernel's table operations: the engine counts the words
+of the rows its frontier built.
 
 The generic recursion survives as ``dd_recursive``, a cross-check oracle
 restricted to well-separated nodes.
@@ -231,9 +233,10 @@ def _squares(n_slices: int, n: int) -> bool:
     precision, chained or squared tables lose up to ~1e-11 relative once
     t * spread passes ~100, and s * ``_SLICE_CAP`` <= n keeps
     t * spread <= 2n.  Single rows would favour squaring from s = 4 to 16,
-    but batches set the cost of a run.
+    but batches set the cost of a run.  One slice never squares, a single
+    node's included.
     """
-    return n_slices * _SLICE_CAP > n
+    return n_slices > 1 and n_slices * _SLICE_CAP > n
 
 
 # Table operations of a grown row: two for each term of its window.
@@ -247,10 +250,8 @@ def _table_ops(n: int, n_slices: int) -> int:
     (E = ``_EXTRA``).  Each slice of a vector row, one or chained, updates
     all n entries of every term; the squaring route builds one n x n table
     the same way, then takes log2(n_slices) products of n^3.  A single node
-    is one exponential.
+    runs the same loop: 2 (1 + E) = 50.
     """
-    if n == 1:
-        return 1
     degree = n + _EXTRA
     if _squares(n_slices, n):
         return degree * 2 * n * n + (n_slices.bit_length() - 1) * n ** 3
@@ -272,14 +273,13 @@ class _Chunk(NamedTuple):
 class _Growth(NamedTuple):
     """A batch of rows each made from a parent row by one more node, as the
     engine's frontier makes them (see the module docstring): the time; the
-    rows' node count n; the parents' windows (W, P), or None where no parent
-    holds one (and for a root row, which has no parent); per row, its
-    parent's column, the new node x_n, the row's anchor A and its reach
-    max_j |t (x_j - A)|; and whether the rows' own windows are kept for
-    their children."""
+    parents' windows (W, P), or None where no parent holds one (and for a
+    root row, which has no parent); per row, its parent's column, the new
+    node x_n, the row's anchor A and its reach max_j |t (x_j - A)|; and
+    whether the rows' own windows are kept for their children.  The rows'
+    node count n is the width of the node array planned with it."""
 
     t: float
-    n: int
     parents: np.ndarray | None
     parent: np.ndarray
     node: np.ndarray
@@ -334,11 +334,12 @@ def _plan(t, node_rows) -> _Plan:
     be a ``_Growth`` of the rows: each row within the window reach then
     takes one grown chunk from its parent's window, and only the others
     are centred and planned on their nodes, so ``node_rows`` may hold
-    theirs alone, in batch order.  Where the plan keeps windows, a
+    theirs alone, in batch order; the rows' node count is the array's
+    width, (R, n) even where R = 0.  Where the plan keeps windows, a
     one-slice row planned on its nodes writes its window about its mean
-    mu; where some parent held a window, one with
-    a = max_j |t (x_j - mu)| <= ``_WINDOW_REACH`` takes anchor mu and
-    reach a for its children.  Its work is the kernel's alone.
+    mu, and one with a = max_j |t (x_j - mu)| <= ``_WINDOW_REACH`` takes
+    anchor mu and reach a for its children.  Its work is the kernel's
+    alone.
 
     Raises ValueError on a bad array or time array and past the kernel's
     range, TypeError on a complex time (a value that overflows is found
@@ -366,13 +367,13 @@ def _plan(t, node_rows) -> _Plan:
     if growth is None:
         rest = np.arange(B)
     else:
-        B, n, anchor, reach = len(growth.parent), growth.n, growth.anchor, growth.reach
+        B, anchor, reach = len(growth.parent), growth.anchor, growth.reach
         inside = _in_reach(reach)
         # the rows planned on their own nodes: all but the grown ones
         grown, rest = np.flatnonzero(inside), np.flatnonzero(~inside)
-        if x.shape[1] != n or len(x) not in (B, len(rest)):
+        if len(x) not in (B, len(rest)):
             raise ValueError(f"expected the node rows of all {B} rows or of the "
-                             f"{len(rest)} past the window reach, {n} nodes a row")
+                             f"{len(rest)} past the window reach")
         if len(grown):
             phase = np.abs(t * anchor[grown]).max()
             if not phase <= _RANGE:
@@ -403,11 +404,8 @@ def _plan(t, node_rows) -> _Plan:
         xt = delta = np.empty((n, 0), x.dtype)
         mu = np.empty(0, x.dtype)
     if growth is not None and growth.keep:
-        # one slice holds a <= _WINDOW_REACH.  Rows keep a window about
-        # their mean only where some parent held one: with none, the rows
-        # have been past the reach from the root on, and stay planned whole
-        close = (np.flatnonzero(a <= _WINDOW_REACH) if R and growth.parents is not None
-                 else ())
+        # one slice holds a <= _WINDOW_REACH
+        close = np.flatnonzero(a <= _WINDOW_REACH) if R else ()
         if len(close):
             anchor = anchor.copy()
             # a real growth's rows are real, in whatever dtype x holds them
@@ -453,19 +451,20 @@ def _taylor(r: np.ndarray, bd: np.ndarray, bs, degree: int,
     nodes (r the top row e_0 of a one-slice or chained row, the identity of
     a slice table).  Each term updates every entry of r, two table
     operations an entry (``_table_ops``).  Where ``window`` (W, B) is given,
-    window[i] receives the last entry of term k = n - 1 + i, n = len(r):
-    a one-slice row's window (``_Growth``)."""
+    window[i] receives the last entry of term n - 1 + i, n = len(r), as the
+    update to the next term reads it: a one-slice row's window
+    (``_Growth``), window[0] = 1 for a single node."""
     acc = r.copy()
     term = r.copy()
     nxt = np.empty_like(acc)
     first = len(r) - 1
     for k in range(1, degree + 1):
+        if window is not None and 0 <= k - 1 - first < len(window):
+            window[k - 1 - first] = term[-1]
         np.multiply(term, bd, out=nxt)
         nxt[1:] += bs * term[:-1]
         nxt *= 1.0 / k
         acc += nxt
-        if window is not None and 0 <= k - first < len(window):
-            window[k - first] = nxt[-1]
         term, nxt = nxt, term
     return acc
 
@@ -500,7 +499,7 @@ def _grown(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     route's.
     """
     growth, rows = plan.growth, chunk.rows
-    t, n = growth.t, growth.n
+    t, n = growth.t, len(plan.delta)
     node, anchor = growth.node[rows], growth.anchor[rows]
     offset = node - anchor
     real = not np.iscomplexobj(offset)
@@ -541,10 +540,12 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
 
     One slice carries (n, B) rows from e_0 through one ``_taylor`` on the
     plan's centred nodes, and writes their windows about their means where
-    the plan keeps windows; chained slices carry them through one
-    ``_taylor`` a slice, and the squaring route (n, n, B) tables through
-    one, on reordered nodes (see ``_table_ops``); grown rows run through
-    ``_grown``.  Only ``exp_dd_batch`` calls it.
+    the plan keeps windows.  A single node is one such row: centred to 0,
+    every term past the first is 0, and its value is its phase.  Chained
+    slices carry the rows through one ``_taylor`` a slice, and the
+    squaring route (n, n, B) tables through one, on reordered nodes (see
+    ``_table_ops``); grown rows run through ``_grown``.  Only
+    ``exp_dd_batch`` calls it.
     """
     if chunk.grown:
         return _grown(plan, chunk)
@@ -552,9 +553,6 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
     t = plan.t[at] if np.ndim(plan.t) else plan.t
     mu = plan.mu[at]
     n = len(plan.delta)
-    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA``
-    if n == 1:
-        return np.exp(-1j * t * mu)
     # take keeps a gathered block node-major (fancy indexing would not)
     delta = plan.delta[:, at] if isinstance(at, slice) else plan.delta.take(at, axis=1)
     squares = _squares(n_slices, n)
@@ -565,6 +563,7 @@ def _exp_dd_core(plan: _Plan, chunk: _Chunk) -> np.ndarray:
         # the products of a squaring cancel more than a row update does;
         # extended precision (where the platform has it) absorbs that
         mu, delta = _centered(xt.astype(_EXTENDED) if squares else xt)
+    # one slice is e^{-i tau mu} exp(bd + bs S), see ``_EXTRA``
     tau = t / n_slices
     bd, bs, phase = -1j * tau * delta, -1j * tau, np.exp(-1j * tau * mu)
     degree = n + _EXTRA

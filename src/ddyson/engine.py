@@ -40,7 +40,8 @@ the new node's.  A row within the window reach is evaluated from its
 parent's Taylor window in O(W) and keeps its own window for its children.
 A row past it is planned on its own nodes; if its own nodes lie within the
 reach of their mean, its plan gives it that mean as anchor, and its window
-about it, so its children grow again.  Every batch, the root's and the top
+about it, so its children grow again.  A root past the reach is such a
+row: it re-anchors on its own node.  Every batch, the root's and the top
 order's too, is popped from the depth-first stack and planned from its
 parent block's windows, counted, evaluated in one kernel call and summed
 by the same lines.  Below the top it is expanded whole, and its merged
@@ -377,18 +378,21 @@ def _children(rows: _Rows, t: float, landing, origin, targets, lam, d,
     plans on their own nodes, have their nodes built."""
     zc, dc, (m, k, r) = _steps(targets, d, rows.z)
     z = zc[m, r]
-    rate = lam[m, k, z] - (origin[rows.z[r]] - origin[z])
-    node = landing[z]
-    anchor = rows.anchor[r] - rate
-    reach = np.maximum(rows.reach[r], np.abs(t * (node - anchor)))
-    built = np.flatnonzero(~_in_reach(reach)) if top else slice(None)
-    source, shift = r[built], rate[built]
-    n = rows.y.shape[1]
-    y = np.empty((len(source), n + 1), rows.y.dtype)
-    # gathered _BLOCK_ROWS rows at a time: the parts stay in cache
-    for s in range(0, len(source), _BLOCK_ROWS):
-        part = slice(s, s + _BLOCK_ROWS)
-        np.subtract(rows.y[source[part]], shift[part, None], out=y[part, :n])
+    # a node that overflows is refused by the kernel's plan, which checks
+    # every row it reads for finite nodes
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = lam[m, k, z] - (origin[rows.z[r]] - origin[z])
+        node = landing[z]
+        anchor = rows.anchor[r] - rate
+        reach = np.maximum(rows.reach[r], np.abs(t * (node - anchor)))
+        built = np.flatnonzero(~_in_reach(reach)) if top else slice(None)
+        source, shift = r[built], rate[built]
+        n = rows.y.shape[1]
+        y = np.empty((len(source), n + 1), rows.y.dtype)
+        # gathered _BLOCK_ROWS rows at a time: the parts stay in cache
+        for s in range(0, len(source), _BLOCK_ROWS):
+            part = slice(s, s + _BLOCK_ROWS)
+            np.subtract(rows.y[source[part]], shift[part, None], out=y[part, :n])
     y[:, n] = node[built]
     # r's own copy: np.nonzero returns views of one (R, 3) array
     children = _Rows(z, y, rows.weight[r] * dc[m, k, r], r.copy(), anchor, reach)
@@ -451,7 +455,7 @@ def evolve_by_order(model: HamiltonianModel, z0: int, t, max_order: int,
     stack = [(0, root, None)]
     while stack:
         q, rows, parents = stack.pop()
-        plan = _plan(_Growth(t, q + 1, parents, rows.parent, landing[rows.z], rows.anchor,
+        plan = _plan(_Growth(t, parents, rows.parent, landing[rows.z], rows.anchor,
                              rows.reach, q < max_order), rows.y)
         # the kernel's operations, and the words the frontier built: each
         # row's endpoint, weight, parent, anchor and reach, and its nodes

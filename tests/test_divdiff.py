@@ -29,6 +29,17 @@ def test_single_node_is_plain_exponential():
     for t in (0.0, 0.4, -1.3):
         for x in (0.7, -2.0 + 0.3j):
             assert exp_dd(t, [x]) == pytest.approx(np.exp(-1j * t * x), abs=1e-16)
+    # a single node is centred to 0, so every Taylor term past the first is
+    # 0 and the value is the phase: e^{-itx} bit for bit, save the sign of a
+    # zero (x + 0.0 makes -0.0 +0.0), on real and complex rows, at one time
+    # and at one time per row
+    rng = np.random.default_rng(28)
+    x = rng.uniform(-50.0, 50.0, (200, 1))
+    x[0] = 0.0
+    for rows in (x, x - 0.3j * rng.uniform(0.0, 1.0, x.shape)):
+        for t in (0.0, 0.7, -1e3, rng.uniform(-30.0, 30.0, 200)):
+            got = exp_dd_batch(t, rows)
+            assert (got + 0.0).tobytes() == (np.exp(-1j * t * rows[:, 0]) + 0.0).tobytes()
 
 
 def test_two_distinct_nodes_difference_quotient():
@@ -253,6 +264,12 @@ def test_counted_work_equals_the_work_of_the_kernel_arrays(monkeypatch):
     assert any(divdiff._squares(s, n) for s in slices)
     exp_dd_batch(1.0, x, plan=plan)
     assert sum(ran) == plan.work
+    # single nodes run the same loop: 2 (1 + E) = 50 operations a row
+    ran.clear()
+    x = rng.uniform(-40.0, 40.0, (30, 1)) - 0.2j * rng.uniform(0.0, 1.0, (30, 1))
+    plan = divdiff._plan(1.0, x)
+    exp_dd_batch(1.0, x, plan=plan)
+    assert sum(ran) == plan.work == 50 * len(x)
 
 
 @pytest.mark.parametrize("decay", [0.0, 0.4], ids=["real", "decaying"])
@@ -493,8 +510,7 @@ def _grow(t, x, anchor):
     reach = np.zeros(B)
     for j in range(n):
         reach = np.maximum(reach, np.abs(t * (x[:, j] - anchor)))
-        growth = divdiff._Growth(t, j + 1, parents, np.arange(B), x[:, j], anchor, reach,
-                                 j < n - 1)
+        growth = divdiff._Growth(t, parents, np.arange(B), x[:, j], anchor, reach, j < n - 1)
         plan = divdiff._plan(growth, x[:, :j + 1])
         values = exp_dd_batch(t, x[:, :j + 1], plan=plan)
         parents = plan.windows
@@ -586,7 +602,7 @@ def test_planned_row_keeps_the_window_of_the_row_grown_about_its_mean(decay):
         plans, _ = _grow(t, np.hstack([x[:20], x[:20, -1:]]), mu[:20])
         grown = plans[n - 1]
         far = np.linspace(3.0, 5.0, 30)
-        growth = divdiff._Growth(t, n, np.zeros((divdiff._WINDOW, 1)), np.zeros(30, np.intp),
+        growth = divdiff._Growth(t, np.zeros((divdiff._WINDOW, 1)), np.zeros(30, np.intp),
                                  x[:, -1], mu + far / t, far, True)
         plan = divdiff._plan(growth, x)
         assert {c.n_slices for c in plan.chunks} == {1}
@@ -607,7 +623,7 @@ def test_grown_rows_are_checked_for_range():
     # t |mean| is on its own nodes
     x = np.array([[2.0 ** 60], [2.0 ** 60 + 1.0]])
     anchor = x[:, 0] + 0.25
-    growth = divdiff._Growth(1.0, 1, None, np.arange(2), x[:, 0], anchor,
+    growth = divdiff._Growth(1.0, None, np.arange(2), x[:, 0], anchor,
                              np.full(2, 0.25), True)
     with pytest.raises(ValueError, match="range"):
         divdiff._plan(growth, x)

@@ -671,31 +671,56 @@ def _grown_rows(monkeypatch):
     return seen
 
 
+def driven_chain(N):
+    """The transverse-field Ising chain of N spins driven at
+    h(t) = 0.3 + 0.2 cos 2t: E_z = -sum_i s_i s_(i+1) over the open chain's
+    bonds, and each spin flip X_i the permutation z -> z ^ 2^i with the
+    factors (lam, d) = (0, 0.3) and (+-2, 0.1)."""
+    z = np.arange(2 ** N)
+    s = 1 - 2 * ((z[:, None] >> np.arange(N)) & 1)
+    energies = -(s[:, 1:] * s[:, :-1]).sum(axis=1).astype(float)
+    factors = tuple(ExpSumFactor(lam=np.full(2 ** N, lam), d=np.full(2 ** N, d))
+                    for lam, d in ((0.0, 0.3), (2.0, 0.1), (-2.0, 0.1)))
+    return HamiltonianModel(energies=energies, terms=tuple(
+        PermutationTerm(perm=PermutationMap(z ^ (1 << i)), factors=factors)
+        for i in range(N)))
+
+
 @pytest.mark.parametrize("picture", PICTURES)
 def test_rows_leaving_the_window_reach_match_per_path_oracle(picture, monkeypatch):
     # decaying rates: a row's reach grows along its path, so at the middle
     # orders one batch holds rows grown from their parents' windows and
-    # rows planned on their own nodes, whose children are never grown again
-    model = random_model(np.random.default_rng(39))
-    t, Q = 0.45, 5
-    seen = _grown_rows(monkeypatch)
-    got = evolve_by_order(model, 0, t, Q, picture)
-    monkeypatch.undo()
-    want = per_path_orders(model, 0, t, Q, picture)
-    for q in range(Q + 1):
-        assert np.abs(got[q] - want[q]).max() <= 1e-12 * np.abs(want[q]).max()
+    # rows planned on their own nodes.  The driven chain's root is past the
+    # reach of the spectrum's middle: it keeps its window about its own
+    # node, and its lineages grow again wherever they stay within reach
+    def run(model, t, Q):
+        seen = _grown_rows(monkeypatch)
+        got = evolve_by_order(model, 0, t, Q, picture)
+        monkeypatch.undo()
+        want = per_path_orders(model, 0, t, Q, picture)
+        for q in range(Q + 1):
+            assert np.abs(got[q] - want[q]).max() <= 1e-12 * np.abs(want[q]).max()
+        return seen
+
+    seen = run(random_model(np.random.default_rng(39)), 0.45, 5)
     assert any(grown and rest for _, grown, rest, _ in seen)
     assert seen[0][1] == 1 and sum(rest for *_, rest, _ in seen) > 0
+    seen = run(driven_chain(4), 0.5, 4)
+    assert seen[0] == (0, 0, 1, True)
+    assert sum(grown for _, grown, _, _ in seen) == 1157
+    assert sum(grown + rest for _, grown, rest, _ in seen) == 6497
 
 
-def test_rows_past_the_window_reach_carry_no_windows(monkeypatch):
-    # the long-time fermi amplitude: every row, the root included, is past
-    # the window reach, so no plan grows a row or keeps a window
+def test_a_root_past_the_reach_keeps_its_window_about_its_node(monkeypatch):
+    # the long-time fermi amplitude: the root is past the reach of the
+    # spectrum's middle, so it keeps its window about its own node and the
+    # order-1 row grows from it; the rows past it, whose own nodes are
+    # more than 1 / t from their mean, keep none
     seen = _grown_rows(monkeypatch)
     model = build_fermi(FermiParams(0.0, 0.8, 0.8, 1e-5))
     evolve_by_order(model, 0, 6.0e4, 5)
     assert [(q, grown, windows) for q, grown, _, windows in seen] == [
-        (q, 0, False) for q in range(6)]
+        (0, 0, True), (1, 1, True), *((q, 0, False) for q in range(2, 6))]
 
 
 def _reanchored_lineages(monkeypatch, model, z0, t, Q, picture):
@@ -782,7 +807,7 @@ def test_top_order_builds_no_node_rows_within_the_reach(seed, monkeypatch):
     plan = engine._plan
 
     def recorded(growth, y):
-        built[growth.n - 1] += (y.size, len(growth.parent))
+        built[y.shape[1] - 1] += (y.size, len(growth.parent))
         return plan(growth, y)
 
     monkeypatch.setattr(engine, "_plan", recorded)
@@ -1109,9 +1134,9 @@ def test_work_budget_admits_oscillator_order_six():
 def test_rows_past_the_kernel_range_are_refused_by_the_budget(monkeypatch):
     # the order-1 row's nodes are 2^60 apart, past the kernel's 2^52
     # slices, or both 2^60, past its phase range, or one is 1e308 + 1e308,
-    # which overflows (numpy warns as the frontier builds it; at t = 1e-300
-    # the root is in range): the budget pass refuses the row, at the top
-    # order and below it, and the kernel sees only the root
+    # which overflows as the frontier builds it, with no warning (at
+    # t = 1e-300 the root is in range): the budget pass refuses the row, at
+    # the top order and below it, and the kernel sees only the root
     seen = []
     kernel = engine.exp_dd_batch
     monkeypatch.setattr(engine, "exp_dd_batch",
@@ -1121,7 +1146,7 @@ def test_rows_past_the_kernel_range_are_refused_by_the_budget(monkeypatch):
              (FermiParams(1e308, 0.0, 1e308, 1.0), 1e-300, "finite"))
     for (params, t, match), Q in product(cases, (1, 2)):
         seen.clear()
-        with pytest.raises(ValueError, match=match), np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match=match):
             evolve_by_order(build_fermi(params), 0, t, Q)
         assert seen == [(1, 1)]
 
