@@ -350,10 +350,17 @@ def _merged(rows: _Rows) -> _Rows:
     """
     words = np.ascontiguousarray(rows.y).view(np.uint64)
     h = _row_hash(rows.z, words)
-    s = np.sort(h)
-    if (s[1:] != s[:-1]).all():
+    # one stable sort: a class starts where the sorted hash changes, at its
+    # least row index, and each row's class is the rank of its start
+    order = np.argsort(h, kind="stable")
+    s = h[order]
+    starts = np.ones(len(h), bool)
+    starts[1:] = s[1:] != s[:-1]
+    if starts.all():
         return rows
-    _, first, inverse = np.unique(h, return_index=True, return_inverse=True)
+    first = order[starts]
+    inverse = np.empty(len(h), np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     rep = first[inverse]
     if not ((rows.z[rep] == rows.z).all() and (words[rep] == words).all()):
         return _merged_exact(rows)

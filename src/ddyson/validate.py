@@ -134,10 +134,11 @@ def suite_identity2(seed: int = 0) -> SuiteResult:
         nodes = rng.uniform(-5.0, 5.0, q + 1) + 1j * rng.uniform(-2.0, 2.0, q + 1)
         c = complex(rng.uniform(-5.0, 5.0), rng.uniform(-2.0, 2.0))
         draws.append((nodes, c, float(rng.uniform(0.0, 1.0))))
-    times = [t for _, _, t in draws]
-    direct = _kernel_by_width(times, [nodes for nodes, _, _ in draws])
-    shifted = _kernel_by_width(times, [shift_inputs(nodes, c)
-                                       for nodes, c, _ in draws])
+    # the direct and the shifted rows in one batch per node count
+    values = _kernel_by_width([t for _, _, t in draws] * 2,
+                              [nodes for nodes, _, _ in draws]
+                              + [shift_inputs(nodes, c) for nodes, c, _ in draws])
+    direct, shifted = values[:cases], values[cases:]
     errors = [abs(a - np.exp(-1j * t * c) * b) / max(abs(a), 1e-300)
               for (_, c, t), a, b in zip(draws, direct, shifted)]
     return _result("identity2_shift", errors, tolerance)

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +33,7 @@ from ddyson import (
 )
 import ddyson
 from ddyson import oracles
+from ddyson.hamiltonian import eval_H
 from ddyson.models import AnharmonicParams
 from ddyson.validate import random_model, random_ti_model
 
@@ -205,24 +205,63 @@ def test_ode_evaluations_are_capped(monkeypatch):
 
 
 def test_failed_integration_is_a_stiffness_error(monkeypatch):
-    # a solve scipy reports unsuccessful, on either side of t = 0 and on a
-    # grid through it, is a StiffnessError carrying scipy's message
-    calls = []
+    # a solve whose every step fails the error test shrinks its step below
+    # the spacing of floats at t = 0: on either side of t = 0 and on a grid
+    # through it, a StiffnessError with the solver's message, after one solve
+    solves = []
+    real = oracles._dop853
 
-    def failed(*args, **kwargs):
-        calls.append(kwargs["method"])
-        return SimpleNamespace(success=False, message="Required step size is "
-                               "less than spacing between numbers.")
-    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    def counted(*args):
+        solves.append(args[2][-1])
+        return real(*args)
+    monkeypatch.setattr(oracles, "_dop853", counted)
+    monkeypatch.setattr(oracles, "_error_norm", lambda K, h, scale: np.inf)
     m = build_single_spin(SingleSpinParams(a=1.0, b=0.5, gamma=0.2))
     for t in (0.5, -0.5, np.array([-0.2, 0.0, 0.3])):
-        calls.clear()
+        solves.clear()
         with pytest.raises(StiffnessError, match="^adaptive integration failed: "
                            "Required step size is less than spacing"):
             ode_evolve(m, 0, t)
-        assert calls == ["DOP853"]
+        assert len(solves) == 1
     # t = 0 needs no solve
     assert np.array_equal(ode_evolve(m, 0, 0.0).amplitudes, [1.0, 0.0])
+
+
+def _scipy_dop853(fun, y0, reads, rtol, atol):
+    """``oracles._dop853`` by scipy's solver, with the same arguments."""
+    sol = scipy.integrate.solve_ivp(fun, (0.0, reads[-1]), y0, method="DOP853",
+                                    t_eval=reads, rtol=rtol, atol=atol)
+    assert sol.success
+    return sol.y.T
+
+
+def test_dop853_port_matches_scipy(free_model, monkeypatch):
+    # the same right-hand side through the port and through scipy's
+    # solve_ivp(method="DOP853", t_eval=..., rtol=tol, atol=tol * 1e-3):
+    # the same states, from the same number of evaluations
+    grid = np.array([1.1, -0.7, 0.0, 0.3, 0.3, -0.2, -0.7])
+    cases = [(m, z0, t, 1e-10) for m, z0, t in _cases_for_the_stacked_rhs(free_model)]
+    cases += [(random_ti_model(np.random.default_rng(3), 1.0, dim=5), 0, grid, 1e-10),
+              (random_model(np.random.default_rng(7)), 2, grid, 1e-12)]
+    for model, z0, t, tol in cases:
+        runs = []
+        for solver in (oracles._dop853, _scipy_dop853):
+            calls = 0
+
+            def counted(fun, *args, solver=solver):
+                def f(tt, psi):
+                    nonlocal calls
+                    calls += 1
+                    return fun(tt, psi)
+                return solver(f, *args)
+            with monkeypatch.context() as patch:
+                patch.setattr(oracles, "_dop853", counted)
+                states = ode_evolve(model, z0, t, tol)
+            amplitudes = np.array([st.amplitudes for st in np.atleast_1d(states)])
+            runs.append((amplitudes, calls))
+        (port, port_calls), (ref, ref_calls) = runs
+        assert np.abs(port - ref).max() <= 1e-14
+        assert port_calls == ref_calls > 0
 
 
 def test_ode_grid_is_one_solve_in_input_order():
@@ -304,6 +343,25 @@ def test_matrix_exponential_rejects_time_dependence():
         mat_exp_evolve(m, 0, 0.5)
 
 
+def test_matrix_exponential_matches_scipy_expm():
+    # the Pade-13 scaling and squaring against scipy.linalg.expm on random
+    # time-independent models, from no squaring to ||Ht||_1 past 100
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(61)
+    largest = 0.0
+    for _ in range(40):
+        m = random_model(rng, dim=int(rng.integers(2, 9)), time_independent=True)
+        t = float(rng.uniform(0.0, 50.0))
+        a = -1j * t * eval_H(m, 0.0)
+        largest = max(largest, np.abs(a).sum(axis=0).max())
+        want = expm(a)
+        assert np.abs(oracles._expm(a) - want).max() <= 1e-13 * np.abs(want).max()
+        z0 = int(rng.integers(0, m.dimension))
+        assert np.array_equal(mat_exp_evolve(m, z0, t).amplitudes, oracles._expm(a)[:, z0])
+    assert largest > 100.0
+
+
 def test_matrix_exponential_agrees_with_ode():
     rng = np.random.default_rng(53)
     m = random_ti_model(rng, t=0.4)
@@ -351,7 +409,7 @@ def test_zero_reference_rejected():
 # -- imports -------------------------------------------------------------------
 
 def test_import_does_not_load_scipy_or_mpmath():
-    # the oracles import scipy and mpmath when called, not at package import
+    # the package never imports scipy, and mpmath only when its oracle runs
     src = str(Path(ddyson.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
